@@ -25,13 +25,11 @@ from .ca import (
     Pattern,
     Region,
     RightPolytope,
-    bounding_sides,
     decode_states,
     encode_states,
     induced_map,
     make_builtin,
     minkowski_sum,
-    translate_support,
 )
 from .counting import (
     DEFAULT_BUDGET,
@@ -68,8 +66,8 @@ __all__ = [
     "check_subadditivity_on_table", "running_infimum", "decomposition_bound",
     "fekete_limit_estimate", "diagonal_schedule", "geometric_schedule",
     "CellularAutomaton", "RightPolytope", "Pattern", "Region",
-    "encode_states", "decode_states", "bounding_sides", "minkowski_sum",
-    "induced_map", "translate_support", "make_builtin", "BUILTIN_NAMES",
+    "encode_states", "decode_states", "minkowski_sum",
+    "induced_map", "make_builtin", "BUILTIN_NAMES",
     "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OrphanCertificate",
     "Decision1D", "out_size_bruteforce", "out_size_transfer_1d",
     "find_orphan", "decide_surjectivity_1d",

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .ca import CellularAutomaton, Pattern, RightPolytope
+from .ca import CellularAutomaton, Pattern, RightPolytope, minkowski_sum
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -471,8 +471,6 @@ def surjectivity_report(
     surjectivity is never claimed, so exhausting the budget yields
     UNKNOWN with the cleared sizes.
     """
-    from .ca import minkowski_sum  # local import to avoid cycle noise
-
     if ca.dimension == 1:
         try:
             decision = decide_surjectivity_1d(ca)

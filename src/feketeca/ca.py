@@ -3,15 +3,15 @@
 An automaton is the quadruple (dimension, state count, ordered offset
 list, rule table); the induced map on a finite rectangular support E
 applies the local rule at every cell of E, reading states off the exact
-Minkowski sum E+N.  All counting elsewhere anchors E at the origin,
-which is harmless because image counts are translation invariant.
+Minkowski sum E+N.  A box may sit at any origin; counting enumerates
+the exact cells of E+N wherever they lie.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .subadditive import MultiIndex, as_index
 
@@ -22,10 +22,8 @@ __all__ = [
     "Region",
     "encode_states",
     "decode_states",
-    "bounding_sides",
     "minkowski_sum",
     "induced_map",
-    "translate_support",
     "make_builtin",
     "BUILTIN_NAMES",
 ]
@@ -98,18 +96,6 @@ class CellularAutomaton:
     def neighborhood_size(self) -> int:
         return len(self.neighborhood)
 
-    def apply_local(self, neighbor_states: Sequence[int]) -> int:
-        """Look the rule up at the canonical encoding of the neighbour states."""
-        states = tuple(neighbor_states)
-        if len(states) != self.neighborhood_size:
-            raise ValueError(
-                f"expected {self.neighborhood_size} neighbour states, got {len(states)}"
-            )
-        if any(not 0 <= s < self.state_count for s in states):
-            raise ValueError(f"states must lie in 0..{self.state_count - 1}")
-        return self.rule_table[encode_states(states, self.state_count)]
-
-
 @dataclass(frozen=True)
 class RightPolytope:
     """Product of integer intervals {origin_i, ..., origin_i + sides_i - 1}."""
@@ -144,11 +130,6 @@ class RightPolytope:
     def translate(self, vec) -> "RightPolytope":
         vec = _as_offset(vec, self.dim)
         return RightPolytope(self.sides, tuple(o + v for o, v in zip(self.origin, vec)))
-
-
-def translate_support(E: RightPolytope, vec) -> RightPolytope:
-    """Shift a support by a displacement vector (image counts do not change)."""
-    return E.translate(vec)
 
 
 @dataclass(frozen=True)
@@ -194,18 +175,6 @@ class Region:
 
     hull: RightPolytope
     cells: tuple[Cell, ...]
-
-
-def bounding_sides(neighborhood: Iterable) -> MultiIndex:
-    """Sides of the tightest box containing the offsets: max - min + 1 per axis."""
-    offsets = list(neighborhood)
-    if not offsets:
-        raise ValueError("neighborhood must be nonempty")
-    dim = len(offsets[0]) if not isinstance(offsets[0], int) else 1
-    offsets = [_as_offset(v, dim) for v in offsets]
-    return MultiIndex(
-        max(o[i] for o in offsets) - min(o[i] for o in offsets) + 1 for i in range(dim)
-    )
 
 
 def minkowski_sum(E: RightPolytope, neighborhood: Iterable) -> Region:

@@ -3,8 +3,13 @@
 Two routes to the output size (number of distinct patterns an automaton
 can produce on a box):
 
-* brute force, any dimension: enumerate every input assignment on the
-  exact E+N cell set, compute its image, count distinct canonical codes;
+* brute force, any dimension and any box origin: enumerate every input
+  assignment on the exact E+N cell set and mark each image's canonical
+  code in a reachability bitmap over all q^volume output codes; the
+  count is the number of marked codes, and the first unmarked one is the
+  canonical-code-minimal orphan.  The bitmap takes q^volume bytes, at
+  most q^|E+N| and so at most the budget, and is allocated only after
+  the budget check passes;
 * a 1D image-automaton path: the sliding-window structure gives an
   edge-labelled de Bruijn graph whose label words are exactly the
   reachable patterns, and determinizing it by subsets makes the count a
@@ -19,13 +24,12 @@ one) live here too.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ca import CellularAutomaton, Pattern, RightPolytope, minkowski_sum
+from .ca import CellularAutomaton, Pattern, RightPolytope, decode_states, minkowski_sum
 from .subadditive import MultiIndex, as_index
 
 __all__ = [
@@ -42,9 +46,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 30
 
-# Largest enumeration (input count) the single-array 1D fast path may
-# materialize; bigger jobs fall back to the chunked general path.
-_FAST_1D_LIMIT = 1 << 24
+# Most inputs one chunk of the enumeration holds.
 _CHUNK = 1 << 20
 
 
@@ -101,85 +103,63 @@ def _window_rule(ca: CellularAutomaton) -> tuple[int, int, np.ndarray]:
     return m, mn, table[idx]
 
 
-def _image_codes_1d_fast(ca: CellularAutomaton, n: int) -> np.ndarray:
-    """Output codes of all q^(n+m-1) window words, distinct and sorted.
-
-    Builds the code arrays level by level, sharing prefixes: the output of
-    a word is the output of its head shifted once, plus the rule applied
-    to its last window.  Cells the neighbourhood skips never influence
-    outputs, so counting over full windows equals counting over the exact
-    E+N set.
-    """
-    q = ca.state_count
-    m, _, wout = _window_rule(ca)
-    out = wout
-    for level in range(2, n + 1):
-        out = np.repeat(out, q) * q + np.tile(wout, q ** (level - 1))
-    return np.unique(out)
-
-
-def _image_codes_general(
-    ca: CellularAutomaton, E: RightPolytope, budget: int
+def _image_bitmap(
+    ca: CellularAutomaton, sides: MultiIndex, budget: int, origin=None
 ) -> tuple[np.ndarray, str]:
-    """Chunked enumeration over all assignments on the exact E+N cells."""
-    region = minkowski_sum(E, ca.neighborhood)
-    cells = region.cells
-    pos = {c: i for i, c in enumerate(cells)}
+    """Bitmap over the q^volume output codes: True iff the pattern is reachable.
+
+    Enumerates every assignment of the exact E+N cells.  The leading cells
+    are fixed per chunk; each remaining cell is its own broadcast axis, so
+    an output cell's rule index spans only the axes it reads, and the
+    partial output code spans only the axes read so far.
+    """
+    E = RightPolytope(sides, origin)
+    cells = minkowski_sum(E, ca.neighborhood).cells
     q = ca.state_count
     L = len(cells)
     cost = q**L
-    nb = ca.neighborhood_size
-    nbr_idx = [
-        [pos[tuple(c + v for c, v in zip(cell, off))] for off in ca.neighborhood]
-        for cell in E.cells()
-    ]
-    arg_weight = [q ** (nb - 1 - i) for i in range(nb)]
-    col_div = [q ** (L - 1 - p) for p in range(L)]
-    table = np.asarray(ca.rule_table, dtype=np.int64)
-
-    parts = []
-    chunks = 0
-    for lo in range(0, cost, _CHUNK):
-        hi = min(lo + _CHUNK, cost)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        dig = np.empty((hi - lo, L), dtype=np.int8)
-        for p in range(L):
-            dig[:, p] = (codes // col_div[p]) % q
-        out = np.zeros(hi - lo, dtype=np.int64)
-        for idxs in nbr_idx:
-            ridx = np.zeros(hi - lo, dtype=np.int64)
-            for w, p in zip(arg_weight, idxs):
-                ridx += dig[:, p].astype(np.int64) * w
-            out = out * q + table[ridx]
-        parts.append(np.unique(out))
-        chunks += 1
-    merged = parts[0] if chunks == 1 else np.unique(np.concatenate(parts))
-    return merged, f"cells={L},chunks={chunks}"
-
-
-def _image_codes(
-    ca: CellularAutomaton, sides: MultiIndex, budget: int, origin=None
-) -> tuple[np.ndarray, str]:
-    E = RightPolytope(sides, origin)
-    region = minkowski_sum(E, ca.neighborhood)
-    q = ca.state_count
-    cost = q ** len(region.cells)
     if cost > budget:
         raise BudgetExceeded(
-            f"enumeration needs {cost} input patterns "
-            f"({q}^{len(region.cells)}), budget is {budget}",
+            f"enumeration needs {cost} input patterns ({q}^{L}), budget is {budget}",
             cost=cost,
         )
     if q**E.volume > 1 << 62:
         raise BudgetExceeded(
             f"output codes ({q}^{E.volume}) exceed the 63-bit code width", cost=cost
         )
-    if ca.dimension == 1 and E.origin == (0,):
-        m, _, _ = _window_rule(ca)
-        window_cost = q ** (sides[0] + m - 1)
-        if window_cost <= min(budget, _FAST_1D_LIMIT):
-            return _image_codes_1d_fast(ca, sides[0]), "fast-1d"
-    return _image_codes_general(ca, E, budget)
+    free = 0
+    while free < L and q ** (free + 1) <= _CHUNK:
+        free += 1
+    lead = L - free
+    axes = [
+        np.arange(q, dtype=np.int64).reshape([q if a == k else 1 for a in range(free)])
+        for k in range(free)
+    ]
+    pos = {c: i for i, c in enumerate(cells)}
+    nb = ca.neighborhood_size
+    # per output cell: code weight, rule index over the free axes, and the
+    # (leading cell, argument weight) pairs a chunk fills in
+    reads = []
+    for j, cell in enumerate(E.cells()):
+        part, fixed = 0, []
+        for i, off in enumerate(ca.neighborhood):
+            p = pos[tuple(c + v for c, v in zip(cell, off))]
+            if p < lead:
+                fixed.append((p, q ** (nb - 1 - i)))
+            else:
+                part = part + axes[p - lead] * q ** (nb - 1 - i)
+        reads.append((q ** (E.volume - 1 - j), part, fixed))
+    table = np.asarray(ca.rule_table, dtype=np.int64)
+
+    seen = np.zeros(q**E.volume, dtype=bool)
+    chunks = q**lead
+    for chunk in range(chunks):
+        digits = decode_states(chunk, lead, q)
+        code = 0
+        for weight, part, fixed in reads:
+            code = code + table[part + sum(digits[p] * w for p, w in fixed)] * weight
+        seen[code] = True
+    return seen, f"cells={L},chunks={chunks}"
 
 
 def out_size_bruteforce(
@@ -188,10 +168,10 @@ def out_size_bruteforce(
     """Exact output size by full enumeration; refuses (no partial answer)
     when the input count q^|E+N| exceeds the budget."""
     sides = as_index(sides, ca.dimension)
-    codes, detail = _image_codes(ca, sides, budget, origin)
+    seen, detail = _image_bitmap(ca, sides, budget, origin)
     return OutRecord(
         sides=sides,
-        out_size=int(codes.size),
+        out_size=int(np.count_nonzero(seen)),
         full_size=ca.state_count**sides.volume,
         method="bruteforce",
         detail=detail,
@@ -207,14 +187,11 @@ def find_orphan(
     bound as `out_size_bruteforce`.
     """
     sides = as_index(sides, ca.dimension)
-    codes, _ = _image_codes(ca, sides, budget, origin)
-    q = ca.state_count
-    full = q**sides.volume
-    if int(codes.size) == full:
+    seen, _ = _image_bitmap(ca, sides, budget, origin)
+    if seen.all():
         return None
-    gaps = np.flatnonzero(codes != np.arange(codes.size, dtype=np.int64))
-    missing = int(gaps[0]) if gaps.size else int(codes.size)
-    pattern = Pattern.from_code(RightPolytope(sides, origin), missing, q)
+    missing = int(seen.argmin())
+    pattern = Pattern.from_code(RightPolytope(sides, origin), missing, ca.state_count)
     return OrphanCertificate(sides=sides, pattern=pattern)
 
 

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from feketeca import (
@@ -7,13 +5,10 @@ from feketeca import (
     MultiIndex,
     Pattern,
     RightPolytope,
-    bounding_sides,
     decode_states,
-    encode_states,
     induced_map,
     make_builtin,
     minkowski_sum,
-    translate_support,
 )
 
 
@@ -42,31 +37,7 @@ class TestConstruction:
             CellularAutomaton(2, 2, ((0,),), (0, 1))  # offset dim mismatch
 
 
-class TestApplyLocal:
-    def test_spec_examples(self, shift, and1d):
-        assert shift.apply_local([1]) == 1
-        assert and1d.apply_local([1, 0]) == 0
-        assert and1d.apply_local([1, 1]) == 1
-
-    def test_bad_inputs_rejected(self, and1d):
-        with pytest.raises(ValueError):
-            and1d.apply_local([1])
-        with pytest.raises(ValueError):
-            and1d.apply_local([1, 2])
-
-    def test_table_round_trip(self, and2d, corpus_1d):
-        for ca in [and2d] + corpus_1d[:10]:
-            q, n = ca.state_count, ca.neighborhood_size
-            for args in itertools.product(range(q), repeat=n):
-                assert ca.apply_local(args) == ca.rule_table[encode_states(args, q)]
-
-
 class TestSupports:
-    def test_bounding_sides(self):
-        assert bounding_sides([(0,), (1,)]) == (2,)
-        assert bounding_sides([(-1, 0), (1, 0), (0, -1), (0, 1), (0, 0)]) == (3, 3)
-        assert bounding_sides([(1,)]) == (1,)
-
     def test_minkowski_interval(self):
         region = minkowski_sum(RightPolytope(MultiIndex((3,))), [(0,), (1,)])
         assert region.cells == ((0,), (1,), (2,), (3,))
@@ -92,10 +63,10 @@ class TestSupports:
 
     def test_translate(self):
         E = RightPolytope(MultiIndex((3,)), (0,))
-        assert translate_support(E, (5,)).origin == (5,)
-        assert translate_support(E, (0,)) == E
+        assert E.translate((5,)).origin == (5,)
+        assert E.translate((0,)) == E
         E2 = RightPolytope(MultiIndex((2, 2)), (0, 0))
-        assert translate_support(E2, (-1, 3)).origin == (-1, 3)
+        assert E2.translate((-1, 3)).origin == (-1, 3)
 
 
 class TestPatternCodes:

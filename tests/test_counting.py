@@ -25,6 +25,10 @@ def test_oracle_constants_match_their_scripts():
     assert abs(oracles.dominant_growth_log2() - oracles.LOG2_DOMINANT_ROOT) < 1e-12
 
 
+def _identity(dim, q):
+    return CellularAutomaton(dim, q, ((0,) * dim,), tuple(range(q)), name=f"id{q}")
+
+
 class TestBruteForce:
     def test_and1d_counts(self, and1d):
         for n in range(1, 9):
@@ -62,15 +66,28 @@ class TestBruteForce:
 
     def test_translation_invariance(self, and1d, and2d):
         rng = random.Random(1)
-        base1 = out_size_bruteforce(and1d, 4).out_size
-        base2 = out_size_bruteforce(and2d, (2, 2)).out_size
+        cases = [
+            (and1d, (4,)),
+            (and2d, (2, 2)),
+            (_identity(1, 200), (1,)),
+            (_identity(2, 130), (1, 1)),
+        ]
+        bases = [out_size_bruteforce(ca, sides).out_size for ca, sides in cases]
         for _ in range(20):
-            dx = rng.randint(-40, 40)
-            assert out_size_bruteforce(and1d, 4, origin=(dx,)).out_size == base1
-            dy = rng.randint(-40, 40)
-            assert (
-                out_size_bruteforce(and2d, (2, 2), origin=(dx, dy)).out_size == base2
-            )
+            for (ca, sides), base in zip(cases, bases):
+                origin = tuple(rng.randint(-40, 40) for _ in sides)
+                assert out_size_bruteforce(ca, sides, origin=origin).out_size == base
+
+    def test_high_q_identity_is_full(self):
+        # states >= 128 must not wrap anywhere in the enumeration
+        for ca, sides, origin in (
+            (_identity(1, 200), (1,), (5,)),
+            (_identity(1, 200), (1,), (0,)),
+            (_identity(2, 130), (1, 1), None),
+        ):
+            rec = out_size_bruteforce(ca, sides, origin=origin)
+            assert rec.out_size == rec.full_size == ca.state_count
+            assert find_orphan(ca, sides, origin=origin) is None
 
     def test_budget_refusal_carries_exact_cost(self, and1d):
         with pytest.raises(BudgetExceeded) as info:
