@@ -173,11 +173,12 @@ def _log_subadd_violations(
                 check(x, axis, y)
 
     keys = sorted(table)
+    axis_max = [max(k[axis] for k in keys) for axis in range(dim)]
     rng = random.Random(seed)
     for _ in range(sampled):
         x = keys[rng.randrange(len(keys))]
         axis = rng.randrange(dim)
-        y = rng.randrange(1, max(k[axis] for k in keys) + 1)
+        y = rng.randrange(1, axis_max[axis] + 1)
         check(x, axis, y)
     return out
 

@@ -13,7 +13,11 @@ can produce on a box):
 * a 1D image-automaton path: the sliding-window structure gives an
   edge-labelled de Bruijn graph whose label words are exactly the
   reachable patterns, and determinizing it by subsets makes the count a
-  path count.
+  path count.  Each subset is stepped once, into a row of successor ids;
+  one length of the path count is then a gather and an `np.add.reduceat`
+  over exact-integer object arrays, following a plan built for the live
+  subset set.  Only the last plan is kept, and the live set settles
+  within a few lengths, so one plan serves almost every length.
 
 The two must agree wherever both run; they share no machinery.  Counts
 are exact Python integers throughout (q^volume overflows fixed width at
@@ -222,20 +226,15 @@ class _ImageAutomaton1D:
         self.n_states = n_states
         self.full_mask = (1 << n_states) - 1
         self._targets = targets
-        self._cache: dict[tuple[int, int], int] = {}
 
     def step(self, mask: int, label: int) -> int:
-        key = (mask, label)
-        nxt = self._cache.get(key)
-        if nxt is None:
-            nxt = 0
-            targets = self._targets
-            rest = mask
-            while rest:
-                low = rest & -rest
-                nxt |= targets[low.bit_length() - 1][label]
-                rest ^= low
-            self._cache[key] = nxt
+        nxt = 0
+        targets = self._targets
+        rest = mask
+        while rest:
+            low = rest & -rest
+            nxt |= targets[low.bit_length() - 1][label]
+            rest ^= low
         return nxt
 
 
@@ -245,9 +244,16 @@ def out_size_transfer_1d(
     """Exact output sizes for n = 1..n_max via the image automaton.
 
     Counts distinct label words of each length by dynamic programming
-    over subset-DFA states, deduplicating per length; exact big-integer
-    arithmetic.  Refuses if the live subset count ever exceeds
-    max_subsets.
+    over subset-DFA states.  Each subset gets an integer id the first time
+    it is live, and its row of q successor ids (-1 for the dead subset) is
+    stepped once.  The live ids at length n form an array whose counts
+    are a numpy object array of exact Python integers.  A plan for one
+    live set (the gather index sorted by successor, the reduceat starts
+    and the next live set) turns a length into one
+    `np.add.reduceat(counts[gather], starts)`; only the last plan is kept,
+    rebuilt when the live set changes, so memory stays at one plan while
+    the live set, which settles within a few lengths, reuses it.  Refuses
+    if the live subset count ever exceeds max_subsets.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
@@ -255,29 +261,50 @@ def out_size_transfer_1d(
         raise ValueError("n_max must be >= 1")
     auto = _ImageAutomaton1D(ca)
     q = ca.state_count
-    counts: dict[int, int] = {auto.full_mask: 1}
+    masks = [auto.full_mask]
+    ids = {auto.full_mask: 0}
+    rows = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
+
+    def subset_id(mask: int) -> int:
+        if not mask:
+            return -1
+        i = ids.get(mask)
+        if i is None:
+            i = ids[mask] = len(masks)
+            masks.append(mask)
+        return i
+
+    live = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=object)
+    plan_key = None
     records = []
     for n in range(1, n_max + 1):
-        nxt: dict[int, int] = {}
-        for mask, cnt in counts.items():
-            for label in range(q):
-                t = auto.step(mask, label)
-                if t:
-                    nxt[t] = nxt.get(t, 0) + cnt
-        counts = nxt
-        if len(counts) > max_subsets:
+        if live.tobytes() != plan_key:
+            plan_key = live.tobytes()
+            fresh = [[subset_id(auto.step(m, c)) for c in range(q)] for m in masks[len(rows):]]
+            rows = np.concatenate([rows, np.array(fresh, dtype=np.int64).reshape(-1, q)])
+            succ = rows[live]
+            src, label = np.nonzero(succ >= 0)
+            dest = succ[src, label]
+            order = np.argsort(dest)
+            gather, dest = src[order], dest[order]
+            starts = np.flatnonzero(np.diff(dest, prepend=-1))
+            nxt = dest[starts]
+        counts = np.add.reduceat(counts[gather], starts)
+        live = nxt
+        if len(live) > max_subsets:
             raise BudgetExceeded(
-                f"subset construction reached {len(counts)} live subsets at n={n}, "
+                f"subset construction reached {len(live)} live subsets at n={n}, "
                 f"cap is {max_subsets}",
-                cost=len(counts),
+                cost=len(live),
             )
         records.append(
             OutRecord(
                 sides=MultiIndex((n,)),
-                out_size=sum(counts.values()),
+                out_size=int(counts.sum()),
                 full_size=q**n,
                 method="transfer1d",
-                detail=f"subsets={len(counts)}",
+                detail=f"subsets={len(live)}",
             )
         )
     return records

@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "MultiIndex",
     "as_index",
@@ -42,6 +44,9 @@ __all__ = [
 # Relative slack for float comparisons in the subadditivity check: ties at
 # rounding-noise level (e.g. log(a*b) vs log a + log b) count as holding.
 _REL_TOL = 1e-9
+
+# Most (x, total) pairs one block of the table check holds.
+_PAIR_BLOCK = 1 << 12
 
 
 class MultiIndex(tuple):
@@ -249,24 +254,49 @@ def check_subadditivity_on_table(values: Mapping) -> list[Violation]:
     Tests every (axis, x, y) for which x, the y-variant and the sum-variant
     all appear as keys.  Useful for sparse user-supplied tables where
     evaluating off-table points is impossible.
+
+    Keys are grouped into lines (all coordinates but `axis` equal); on a
+    line with sorted positions p, the tested triples are the pairs
+    x < total from p whose difference y is in p as well, found by
+    `np.searchsorted`.  Rows of x are taken in blocks of at most
+    `_PAIR_BLOCK` (x, total) pairs, so working memory is bounded by the
+    block and never by the spread of the coordinates: a key at 10**9
+    costs no more than one at 10.  Violations come in table order of x,
+    then axis, then y.
     """
     f = values if isinstance(values, SubadditiveFn) else SubadditiveFn.from_table(values)
-    table = f.table
-    violations: list[Violation] = []
-    for x, fx in table.items():
-        if fx < 0:
-            violations.append(Violation("negative", -1, x, 0, fx, 0.0))
-    axis_max = [max(k[axis] for k in table) for axis in range(f.dim)]
-    for x in table:
-        for axis in range(f.dim):
-            for y in range(1, axis_max[axis] - x[axis] + 1):
-                other = x.replace_coord(axis, y)
-                total = x.replace_coord(axis, x[axis] + y)
-                if other in table and total in table:
-                    lhs = table[total]
-                    rhs = table[x] + table[other]
-                    if lhs > rhs + _REL_TOL * max(1.0, abs(lhs), abs(rhs)):
-                        violations.append(Violation("subadditive", axis, x, y, lhs, rhs))
+    keys = list(f.table)
+    vals = np.fromiter(f.table.values(), dtype=np.float64, count=len(keys))
+    coords = np.array(keys, dtype=np.int64)
+    violations = [
+        Violation("negative", -1, keys[i], 0, vals[i].item(), 0.0)
+        for i in np.flatnonzero(vals < 0)
+    ]
+    found = []  # (x key index, axis, y, lhs, rhs) arrays, one per block with a hit
+    for axis in range(f.dim):
+        rest = np.delete(coords, axis, axis=1)
+        order = np.lexsort((coords[:, axis], *rest.T))  # by line, then position
+        cuts = np.flatnonzero((np.diff(rest[order], axis=0) != 0).any(axis=1)) + 1
+        for idx in np.split(order, cuts):
+            pos, val = coords[idx, axis], vals[idx]
+            block = max(1, _PAIR_BLOCK // len(pos))
+            for r0 in range(0, len(pos) - 1, block):
+                xs = np.arange(r0, min(r0 + block, len(pos) - 1))
+                ys = pos[r0 + 1:] - pos[xs, None]  # column c is total r0 + 1 + c
+                other = np.minimum(np.searchsorted(pos, ys), len(pos) - 1)
+                row, col = np.nonzero(pos[other] == ys)
+                xi, ti, oi, y = xs[row], col + r0 + 1, other[row, col], ys[row, col]
+                lhs, rhs = val[ti], val[xi] + val[oi]
+                bad = lhs > rhs + _REL_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+                if bad.any():
+                    found.append((idx[xi[bad]], np.full(bad.sum(), axis), y[bad], lhs[bad], rhs[bad]))
+    if found:
+        xk, ax, y, lhs, rhs = (np.concatenate(part) for part in zip(*found))
+        order = np.lexsort((y, ax, xk))
+        violations += [
+            Violation("subadditive", a, keys[i], b, lo, hi)
+            for i, a, b, lo, hi in zip(*(part[order].tolist() for part in (xk, ax, y, lhs, rhs)))
+        ]
     return violations
 
 

@@ -125,10 +125,23 @@ class TestTransfer1D:
     def test_counts_are_exact_big_integers(self, xor1d):
         recs = out_size_transfer_1d(xor1d, 300)
         assert recs[-1].out_size == 2**300  # far beyond any float/int64
+        # every length, not just the last, and as plain ints
+        assert [r.out_size for r in recs] == [2**n for n in range(1, 301)]
+        assert all(type(r.out_size) is int for r in recs)
+
+    def test_live_subset_counts_in_detail(self, and1d):
+        recs = out_size_transfer_1d(and1d, 8)
+        assert [r.detail for r in recs] == ["subsets=2"] + ["subsets=3"] * 7
 
     def test_subset_cap_refusal(self, and1d):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             out_size_transfer_1d(and1d, 5, max_subsets=1)
+        assert info.value.cost == 2
+        assert "reached 2 live subsets at n=1, cap is 1" in str(info.value)
+        with pytest.raises(BudgetExceeded) as info:
+            out_size_transfer_1d(and1d, 5, max_subsets=2)
+        assert info.value.cost == 3
+        assert "at n=2," in str(info.value)
 
     def test_log_subadditivity_of_counts(self, and1d, corpus_1d):
         for ca in [and1d] + corpus_1d[:10]:

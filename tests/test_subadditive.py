@@ -1,7 +1,12 @@
+import itertools
 import math
 import random
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feketeca import (
     MultiIndex,
@@ -15,6 +20,7 @@ from feketeca import (
     geometric_schedule,
     leq_pi,
     running_infimum,
+    subadditive,
     subadditivity_triple_count,
 )
 
@@ -94,6 +100,75 @@ class TestCheckSubadditivity:
         violations = check_subadditivity_on_table({1: 2.0, 2: 5.0, 3: 12.0})
         assert any(v.kind == "subadditive" for v in violations)
         assert check_subadditivity_on_table({1: 2.0, 2: 4.0, 3: 6.0}) == []
+
+
+def _table_check_reference(values):
+    """Plain loop over every covered (x, axis, y), in table order of x."""
+    table = SubadditiveFn.from_table(values).table
+    out = [Violation("negative", -1, x, 0, fx, 0.0) for x, fx in table.items() if fx < 0]
+    axis_max = [max(k[axis] for k in table) for axis in range(len(next(iter(table))))]
+    for x in table:
+        for axis in range(x.dim):
+            for y in range(1, axis_max[axis] - x[axis] + 1):
+                other = x.replace_coord(axis, y)
+                total = x.replace_coord(axis, x[axis] + y)
+                if other in table and total in table:
+                    lhs, rhs = table[total], table[x] + table[other]
+                    if lhs > rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs)):
+                        out.append(Violation("subadditive", axis, x, y, lhs, rhs))
+    return out
+
+
+@st.composite
+def sparse_table(draw):
+    """A sparse 1D or 2D table over an additive base (ties at rounding
+    noise), with negative entries and planted excesses."""
+    dim = draw(st.integers(1, 2))
+    side = draw(st.integers(1, 40 if dim == 1 else 9))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    slope = draw(st.sampled_from([0.1, 0.7, 1.0, 3.3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [c for c in itertools.product(range(1, side + 1), repeat=dim) if rng.random() < density]
+    rng.shuffle(cells)  # table order is not coordinate order
+    table = {}
+    for k in cells or [(side,) * dim]:
+        val = slope * sum(k)
+        kind = rng.random()
+        if kind < 0.1:
+            val += rng.uniform(1e-12, 50.0)
+        elif kind < 0.2:
+            val -= rng.uniform(0.0, 1.0)
+        elif kind < 0.25:
+            val = -rng.uniform(0.0, 5.0)
+        elif kind < 0.3:
+            val += rng.choice([5e-10, 2e-9])  # either side of the tolerance floor
+        table[k] = val
+    return table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_table())
+def test_table_check_matches_reference_loop(table):
+    got = check_subadditivity_on_table(table)
+    want = _table_check_reference(table)
+    assert got == want
+    with mock.patch.object(subadditive, "_PAIR_BLOCK", 5):  # many blocks per line
+        assert check_subadditivity_on_table(table) == want
+    assert all(
+        (type(v.x), type(v.y), type(v.lhs), type(v.rhs)) == (MultiIndex, int, float, float)
+        for v in got
+    )
+
+
+def test_table_check_far_coordinate_is_cheap():
+    start = time.perf_counter()
+    violations = check_subadditivity_on_table({1: 1.0, 2: 5.0, 10**9: 1.0, 10**9 + 1: 9.0})
+    assert time.perf_counter() - start < 1.0
+    assert violations == [
+        Violation("subadditive", 0, MultiIndex((1,)), 1, 5.0, 2.0),
+        Violation("subadditive", 0, MultiIndex((1,)), 10**9, 9.0, 2.0),
+        Violation("subadditive", 0, MultiIndex((10**9,)), 1, 9.0, 2.0),
+    ]
 
 
 class TestRunningInfimum:
