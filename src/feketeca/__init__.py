@@ -41,6 +41,7 @@ from .counting import (
     find_orphan,
     out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
 )
 from .analysis import (
     LambdaEstimate,
@@ -69,7 +70,7 @@ __all__ = [
     "encode_states", "decode_states", "minkowski_sum",
     "induced_map", "make_builtin", "BUILTIN_NAMES",
     "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OrphanCertificate",
-    "Decision1D", "out_size_bruteforce", "out_size_transfer_1d",
+    "Decision1D", "out_size_bruteforce", "out_sizes_bruteforce", "out_size_transfer_1d",
     "find_orphan", "decide_surjectivity_1d",
     "LossRecord", "LambdaEstimate", "ThresholdReport", "VerdictStatus",
     "SurjectivityVerdict", "log_base", "loss", "lambda_estimate",

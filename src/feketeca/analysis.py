@@ -29,8 +29,8 @@ from .counting import (
     OutRecord,
     decide_surjectivity_1d,
     find_orphan,
-    out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
 )
 from .subadditive import (
     FeketeEstimate,
@@ -210,12 +210,12 @@ def lambda_estimate(
             notes.append(f"transfer path refused: {exc}")
             partial = True
     if not records:
-        for b in boxes:
-            try:
-                records.append(out_size_bruteforce(ca, b, budget=budget))
-            except BudgetExceeded as exc:
+        for b, rec in zip(boxes, out_sizes_bruteforce(ca, boxes, budget=budget)):
+            if isinstance(rec, BudgetExceeded):
                 partial = True
-                notes.append(f"skipped {tuple(b)}: {exc}")
+                notes.append(f"skipped {tuple(b)}: {rec}")
+            else:
+                records.append(rec)
     if not records:
         raise BudgetExceeded("no scheduled box fits the budget")
 
@@ -343,12 +343,12 @@ def _out_table_on_box(
         for rec in out_size_transfer_1d(ca, search_box[0]):
             table[rec.sides] = rec.out_size
         return table, notes
-    for cell in itertools.product(*[range(1, s + 1) for s in search_box]):
-        sides = MultiIndex(cell)
-        try:
-            table[sides] = out_size_bruteforce(ca, sides, budget=budget).out_size
-        except BudgetExceeded as exc:
-            notes.append(f"skipped {cell}: {exc}")
+    cells = [MultiIndex(c) for c in itertools.product(*[range(1, s + 1) for s in search_box])]
+    for sides, rec in zip(cells, out_sizes_bruteforce(ca, cells, budget=budget)):
+        if isinstance(rec, BudgetExceeded):
+            notes.append(f"skipped {tuple(sides)}: {rec}")
+        else:
+            table[sides] = rec.out_size
     return table, notes
 
 

@@ -26,8 +26,8 @@ from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     OrphanCertificate,
-    out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
 )
 from .subadditive import (
     MultiIndex,
@@ -82,7 +82,10 @@ def parse_schedule(text: str, dim: int) -> list[MultiIndex]:
         if not 1 <= lo <= hi:
             raise DescriptionError(f"bad schedule {text!r}: need 1 <= LO <= HI")
         return [MultiIndex((k,) * dim) for k in range(lo, hi + 1)]
-    return [parse_sides(tok, dim) for tok in text.split(",") if tok.strip()]
+    schedule = [parse_sides(tok, dim) for tok in text.split(",") if tok.strip()]
+    if not schedule:
+        raise DescriptionError(f"bad schedule {text!r}: no sides given")
+    return schedule
 
 
 def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
@@ -186,9 +189,15 @@ def _open_out(path: str | None):
 
 
 def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex]:
-    if args.sides_list:
-        return [parse_sides(tok, ca.dimension) for tok in args.sides_list.split(",") if tok.strip()]
+    if args.sides_list is not None:
+        tokens = [tok for tok in args.sides_list.split(",") if tok.strip()]
+        sides = [parse_sides(tok, ca.dimension) for tok in tokens]
+        if not sides:
+            raise DescriptionError(f"bad sides list {args.sides_list!r}: no sides given")
+        return sides
     n = args.max_sides
+    if n < 1:
+        raise DescriptionError(f"--max-sides must be >= 1, got {n}")
     if ca.dimension == 1:
         return [MultiIndex((k,)) for k in range(1, n + 1)]
     return [
@@ -216,6 +225,11 @@ def cmd_out_table(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             transfer_by_sides = {}
+    records = [transfer_by_sides.get(sides) for sides in sides_list]
+    todo = [i for i, rec in enumerate(records) if rec is None]
+    brute = out_sizes_bruteforce(ca, [sides_list[i] for i in todo], budget=args.budget)
+    for i, rec in zip(todo, brute):
+        records[i] = rec
 
     out, close = _open_out(args.out)
     try:
@@ -226,17 +240,13 @@ def cmd_out_table(args) -> int:
             [f"x{i+1}" for i in range(ca.dimension)]
             + ["out_size", "full_size", "ratio", "lambda_qits", "status"]
         )
-        for sides in sides_list:
-            rec = transfer_by_sides.get(sides)
-            if rec is None:
-                try:
-                    rec = out_size_bruteforce(ca, sides, budget=args.budget)
-                except BudgetExceeded as exc:
-                    writer.writerow(
-                        [str(s) for s in sides]
-                        + ["", "", "", "", f"refused: cost {exc.cost} exceeds budget {args.budget}"]
-                    )
-                    continue
+        for sides, rec in zip(sides_list, records):
+            if isinstance(rec, BudgetExceeded):
+                writer.writerow(
+                    [str(s) for s in sides]
+                    + ["", "", "", "", f"refused: cost {rec.cost} exceeds budget {args.budget}"]
+                )
+                continue
             rec_loss = loss(ca, rec)
             writer.writerow(
                 [str(s) for s in sides]

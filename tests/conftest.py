@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from feketeca import CellularAutomaton, decode_states, make_builtin
+from feketeca import CellularAutomaton, counting, decode_states, make_builtin
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +49,17 @@ def random_rule_corpus(count=100, seed=0):
 @pytest.fixture(scope="session")
 def corpus_1d():
     return elementary_rules() + random_rule_corpus()
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Boxes `counting._image_bitmap` enumerates, in call order."""
+    calls = []
+    real = counting._image_bitmap
+
+    def counted(ca, sides, *args, **kwargs):
+        calls.append(tuple(sides))
+        return real(ca, sides, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "_image_bitmap", counted)
+    return calls

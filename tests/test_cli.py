@@ -190,6 +190,42 @@ class TestOutTable:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "# states: a=0 b=1"
 
+    @pytest.mark.parametrize(
+        "name, extra, top, rows",
+        [
+            ("and2d", ["--max-sides", "3"], (3, 3), 9),
+            ("and1d", ["--method", "brute", "--max-sides", "8"], (8,), 8),
+        ],
+    )
+    def test_one_enumeration_per_table(
+        self, describe, capsys, enumerations, name, extra, top, rows
+    ):
+        path = describe(name, {"rule": {"builtin": name}})
+        assert cli.main(["out-table", path, *extra]) == EXIT_OK
+        assert enumerations == [top]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+
+class TestEmptyBoxLists:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["out-table", "{and1d}", "--max-sides", "0"], "--max-sides must be >= 1, got 0"),
+            (["out-table", "{and1d}", "--sides-list", ","], "bad sides list ',': no sides given"),
+            (
+                ["out-table", "{and1d}", "--max-sides", "-2", "--method", "brute"],
+                "--max-sides must be >= 1, got -2",
+            ),
+            (["lambda", "{and1d}", "--schedule", ","], "bad schedule ',': no sides given"),
+            (["fekete", "--function", "3n", "--schedule", ","], "bad schedule ',': no sides given"),
+        ],
+        ids=["max-sides-0", "sides-list-comma", "max-sides-negative-brute", "lambda", "fekete"],
+    )
+    def test_usage_error(self, describe, capsys, argv, message):
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        assert cli.main([a.replace("{and1d}", path) for a in argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestDecide:
     def test_shift_exit_zero(self, describe, capsys):

@@ -1,16 +1,19 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from feketeca import (
     BudgetExceeded,
     CellularAutomaton,
     MultiIndex,
+    counting,
     decide_surjectivity_1d,
     find_orphan,
     out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
 )
 
 import oracles
@@ -94,6 +97,52 @@ class TestBruteForce:
             out_size_bruteforce(and1d, 40, budget=1 << 20)
         assert info.value.cost == 2**41
         # refusal, not a partial answer: nothing usable comes back
+
+
+class TestBatch:
+    def test_one_enumeration_per_maximal_box(self, and2d, enumerations):
+        boxes = [(2, 2), (3, 3), (4, 1), (3, 3), (1, 3), (5, 5)]
+        recs = out_sizes_bruteforce(and2d, boxes, budget=1 << 20)
+        # 5x5 is refused; 3x3 and 4x1 are the maximal fitting boxes
+        assert enumerations == [(3, 3), (4, 1)]
+        assert [(r.out_size, r.detail) for r in recs[:5]] == [
+            (16, "from=3x3"),
+            (340, "cells=15,chunks=1"),
+            (16, "cells=9,chunks=1"),
+            (340, "cells=15,chunks=1"),
+            (8, "from=3x3"),
+        ]
+        assert isinstance(recs[5], BudgetExceeded) and recs[5].cost == 2**35
+
+    def test_refusal_matches_the_single_box_call(self, and1d):
+        (rec,) = out_sizes_bruteforce(and1d, [40], budget=1 << 20)
+        with pytest.raises(BudgetExceeded) as info:
+            out_size_bruteforce(and1d, 40, budget=1 << 20)
+        assert (str(rec), rec.cost) == (str(info.value), info.value.cost)
+
+    def test_restriction_reshapes_have_three_axes(self, monkeypatch):
+        # and2d on each x-slice: a 1x3x2 slab loses patterns, as and2d's 3x2
+        ca = CellularAutomaton(3, 2, ((0, 0, 0), (0, 1, 0), (0, 0, 1)), (0,) * 7 + (1,))
+        ranks = []
+        real = counting._any_middle
+
+        def spy(x):
+            ranks.append(x.ndim)
+            return real(x)
+
+        monkeypatch.setattr(counting, "_any_middle", spy)
+        top = MultiIndex((2, 3, 2))
+        seen, _ = counting._image_bitmap(ca, top, 1 << 30)
+        counts = {}
+        for sub in [(1, 3, 2), (2, 2, 2), (2, 3, 1), (1, 2, 2), (2, 1, 1)]:
+            got = counting._restrict(seen, top, MultiIndex(sub), 2)
+            want, _ = counting._image_bitmap(ca, MultiIndex(sub), 1 << 30)
+            assert np.array_equal(got, want)
+            counts[sub] = int(np.count_nonzero(got))
+        assert counts[(1, 3, 2)] == oracles.AND2D_OUT[(3, 2)]
+        # numpy before 2.0 caps arrays at 32 axes; a box of 62 cells fits
+        # the code width, so no step may give each cell its own axis
+        assert ranks and set(ranks) == {3}
 
 
 class TestTransfer1D:

@@ -1,14 +1,15 @@
-"""Property-based cross-checks of the counting routes on random 1D rules.
+"""Property-based cross-checks of the counting routes on random rules.
 
 Rules are drawn with negative and gapped offsets, any neighbourhood order
-and state counts up to 255 (for single-offset rules), keeping q^span small
-so every route stays cheap.
+and state counts up to 255 (for single-offset 1D rules), keeping q^span
+small so every route stays cheap.
 """
 
 import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from feketeca import (
     minkowski_sum,
     out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
 )
 
 _SPAN_CAP = 4096  # q^span: size of the window table the transfer route builds
@@ -54,8 +56,9 @@ def rule_and_size(draw):
     return ca, n, origin
 
 
-def _input_count(ca, n, origin=None):
-    cells = minkowski_sum(RightPolytope((n,), origin), ca.neighborhood).cells
+def _input_count(ca, sides, origin=None):
+    sides = (sides,) if isinstance(sides, int) else sides
+    cells = minkowski_sum(RightPolytope(sides, origin), ca.neighborhood).cells
     return ca.state_count ** len(cells)
 
 
@@ -103,3 +106,68 @@ def test_orphan_certificate_has_no_preimage(case):
     cells = minkowski_sum(E, ca.neighborhood).cells
     for states in itertools.product(range(ca.state_count), repeat=len(cells)):
         assert induced_map(ca, E, dict(zip(cells, states))) != cert.pattern
+
+
+@st.composite
+def rule_and_boxes(draw):
+    """(automaton, box list, budget, origin) in 1 to 3 dimensions.
+
+    Distinct boxes are drawn from the grid boxes within _ENUM_CAP inputs,
+    half of them inside one drawn box, and one is repeated, so lists mix
+    nested boxes, incomparable ones and duplicates; the budget is drawn
+    at or just under one box's input count, so some boxes are refused,
+    but never under the cheapest one.
+    """
+    d = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    reach = 3 if d == 1 else 1  # wider neighbourhoods leave few boxes within the cap
+    offsets = draw(
+        st.lists(st.tuples(*[st.integers(-reach, reach)] * d), min_size=k, max_size=k, unique=True)
+    )
+    # tables from a seeded generator (drawn value by value they shrink to
+    # constant rules); skewed towards state 0, most rules lose patterns
+    # even on the small boxes, where restriction errors would show
+    rng = draw(st.randoms(use_true_random=False))
+    skew = draw(st.sampled_from([0.5, 0.0, 0.75]))
+    table = [0 if rng.random() < skew else rng.randrange(q) for _ in range(q**k)]
+    ca = CellularAutomaton(d, q, tuple(offsets), table)
+    origin = tuple(draw(st.integers(-5, 5)) for _ in range(d))
+    grid = itertools.product(range(1, {1: 8, 2: 4, 3: 3}[d]), repeat=d)
+    fits = [b for b in grid if _input_count(ca, b, origin) <= _ENUM_CAP]
+    top = draw(st.sampled_from(fits[::-1]))
+    inside = st.tuples(*[st.integers(1, t) for t in top])
+    distinct = st.lists(
+        inside | st.sampled_from(fits), min_size=min(3, len(fits)), max_size=5, unique=True
+    )
+    boxes = draw(distinct.flatmap(lambda bs: st.permutations(bs + [bs[0]])))
+    costs = {_input_count(ca, b, origin) for b in boxes}
+    budgets = {c - s for c in costs for s in (0, 1)} - {min(costs) - 1}
+    budget = draw(st.sampled_from(sorted(budgets, reverse=True)))
+    return ca, boxes, budget, origin
+
+
+@_settings
+@pytest.mark.parametrize("small_chunks", [False, True])
+@given(case=rule_and_boxes())
+def test_batch_equals_single_box_enumeration(small_chunks, case):
+    ca, boxes, budget, origin = case
+    want = []
+    for sides in boxes:
+        try:
+            seen, _ = counting._image_bitmap(ca, sides, budget, origin)
+            want.append(int(np.count_nonzero(seen)))
+        except counting.BudgetExceeded as exc:
+            want.append(exc)
+    # a chunk of q^2 inputs leaves all but two cells to the chunk loop
+    chunk = ca.state_count**2 if small_chunks else counting._CHUNK
+    with mock.patch.object(counting, "_CHUNK", chunk):
+        got = out_sizes_bruteforce(ca, boxes, budget=budget, origin=origin)
+    assert len(got) == len(boxes)
+    for sides, rec, ref in zip(boxes, got, want):
+        if isinstance(ref, counting.BudgetExceeded):
+            assert isinstance(rec, counting.BudgetExceeded)
+            assert (str(rec), rec.cost) == (str(ref), ref.cost)
+        else:
+            assert rec.sides == sides and rec.method == "bruteforce"
+            assert (rec.out_size, rec.full_size) == (ref, ca.state_count ** rec.sides.volume)
