@@ -41,6 +41,7 @@ from .counting import (
     find_orphan,
     out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes,
     out_sizes_bruteforce,
 )
 from .analysis import (
@@ -71,7 +72,7 @@ __all__ = [
     "induced_map", "make_builtin", "BUILTIN_NAMES",
     "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OrphanCertificate",
     "Decision1D", "out_size_bruteforce", "out_sizes_bruteforce", "out_size_transfer_1d",
-    "find_orphan", "decide_surjectivity_1d",
+    "out_sizes", "find_orphan", "decide_surjectivity_1d",
     "LossRecord", "LambdaEstimate", "ThresholdReport", "VerdictStatus",
     "SurjectivityVerdict", "log_base", "loss", "lambda_estimate",
     "boundary_excess", "minimal_upward_threshold", "excess_ratio_threshold",

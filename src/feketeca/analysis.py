@@ -24,13 +24,11 @@ from .ca import CellularAutomaton, Pattern, RightPolytope, minkowski_sum
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    Decision1D,
     OrphanCertificate,
     OutRecord,
     decide_surjectivity_1d,
     find_orphan,
-    out_size_transfer_1d,
-    out_sizes_bruteforce,
+    out_sizes,
 )
 from .subadditive import (
     FeketeEstimate,
@@ -84,10 +82,6 @@ class LossRecord:
     lambda_qits: float
     ratio: float
     q: int
-
-    @property
-    def lambda_bits(self) -> float:
-        return self.lambda_qits * math.log2(self.q)
 
 
 def loss(ca: CellularAutomaton, record: OutRecord) -> LossRecord:
@@ -188,34 +182,23 @@ def lambda_estimate(
 ) -> LambdaEstimate:
     """Estimate the per-cell limit over a schedule of box sizes.
 
-    Output sizes come from the image-automaton path in dimension 1 and
-    from brute force otherwise; boxes refused for budget are skipped and
-    the estimate marked partial.  The exact counts are verified
-    log-subadditive before the Fekete machinery runs on log_q(out)."""
-    boxes = [as_index(b, ca.dimension) for b in schedule]
+    Output sizes come from `out_sizes`, one record per distinct box in
+    schedule order (first occurrence); boxes refused for budget are
+    skipped and the estimate marked partial.  The exact counts are
+    verified log-subadditive before the Fekete machinery runs on
+    log_q(out)."""
+    boxes = list(dict.fromkeys(as_index(b, ca.dimension) for b in schedule))
     if not boxes:
         raise ValueError("schedule must be nonempty")
     q = ca.state_count
 
     records: list[OutRecord] = []
     notes: list[str] = []
-    partial = False
-    if ca.dimension == 1:
-        n_max = max(b[0] for b in boxes)
-        try:
-            all_records = out_size_transfer_1d(ca, n_max)
-            wanted = {b for b in boxes}
-            records = [r for r in all_records if r.sides in wanted]
-        except BudgetExceeded as exc:
-            notes.append(f"transfer path refused: {exc}")
-            partial = True
-    if not records:
-        for b, rec in zip(boxes, out_sizes_bruteforce(ca, boxes, budget=budget)):
-            if isinstance(rec, BudgetExceeded):
-                partial = True
-                notes.append(f"skipped {tuple(b)}: {rec}")
-            else:
-                records.append(rec)
+    for b, rec in zip(boxes, out_sizes(ca, boxes, budget)):
+        if isinstance(rec, BudgetExceeded):
+            notes.append(f"skipped {tuple(b)}: {rec}")
+        else:
+            records.append(rec)
     if not records:
         raise BudgetExceeded("no scheduled box fits the budget")
 
@@ -237,7 +220,7 @@ def lambda_estimate(
         estimate=est,
         records=tuple(records),
         q=q,
-        partial=partial,
+        partial=bool(notes),
         notes=tuple(notes),
         subadditivity_violations=violations,
     )
@@ -334,24 +317,6 @@ class ThresholdReport:
     lambda_upper: float
 
 
-def _out_table_on_box(
-    ca: CellularAutomaton, search_box: MultiIndex, budget: int
-) -> tuple[dict[MultiIndex, int], list[str]]:
-    notes: list[str] = []
-    table: dict[MultiIndex, int] = {}
-    if ca.dimension == 1:
-        for rec in out_size_transfer_1d(ca, search_box[0]):
-            table[rec.sides] = rec.out_size
-        return table, notes
-    cells = [MultiIndex(c) for c in itertools.product(*[range(1, s + 1) for s in search_box])]
-    for sides, rec in zip(cells, out_sizes_bruteforce(ca, cells, budget=budget)):
-        if isinstance(rec, BudgetExceeded):
-            notes.append(f"skipped {tuple(sides)}: {rec}")
-        else:
-            table[sides] = rec.out_size
-    return table, notes
-
-
 def theorem2_threshold(
     ca: CellularAutomaton,
     K: float,
@@ -363,12 +328,13 @@ def theorem2_threshold(
 ) -> ThresholdReport:
     """Search a finite box for the loss-dominates-boundary threshold.
 
-    Only the region actually verified is reported; nothing is
-    extrapolated beyond the search box.  Requires evidence of
-    nonsurjectivity (the dichotomy's second branch): in dimension 1 the
-    exact decision is run, otherwise a deficient count inside the box or
-    the caller's override is accepted.  delta defaults to midway between
-    the observed upper bound on the per-cell limit and 1.
+    Counts on the cells of the search box come from `out_sizes`; cells
+    it refuses for budget are left out.  Only the region actually
+    verified is reported; nothing is extrapolated beyond the search box.
+    Requires evidence of nonsurjectivity (the dichotomy's second branch):
+    in dimension 1 the exact decision is run, otherwise a deficient count
+    inside the box or the caller's override is accepted.  delta defaults
+    to midway between the observed upper bound on the per-cell limit and 1.
     """
     search_box = as_index(search_box, ca.dimension)
     r = tuple(int(v) for v in r)
@@ -378,7 +344,12 @@ def theorem2_threshold(
         raise ValueError("K must be >= 0")
 
     q = ca.state_count
-    table, notes = _out_table_on_box(ca, search_box, budget)
+    cells = [MultiIndex(c) for c in itertools.product(*[range(1, s + 1) for s in search_box])]
+    table = {
+        sides: rec.out_size
+        for sides, rec in zip(cells, out_sizes(ca, cells, budget))
+        if not isinstance(rec, BudgetExceeded)
+    }
     if not table:
         raise BudgetExceeded("no cell of the search box fits the budget")
 

@@ -127,10 +127,6 @@ class RightPolytope:
         ranges = [range(o, o + s) for o, s in zip(self.origin, self.sides)]
         return list(itertools.product(*ranges))
 
-    def translate(self, vec) -> "RightPolytope":
-        vec = _as_offset(vec, self.dim)
-        return RightPolytope(self.sides, tuple(o + v for o, v in zip(self.origin, vec)))
-
 
 @dataclass(frozen=True)
 class Pattern:

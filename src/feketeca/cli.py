@@ -27,6 +27,7 @@ from .counting import (
     BudgetExceeded,
     OrphanCertificate,
     out_size_transfer_1d,
+    out_sizes,
     out_sizes_bruteforce,
 )
 from .subadditive import (
@@ -212,24 +213,13 @@ def cmd_out_table(args) -> int:
     method = args.method
     if method == "transfer" and ca.dimension != 1:
         raise DescriptionError("method 'transfer' requires a 1-dimensional automaton")
-    use_transfer = ca.dimension == 1 and method in ("auto", "transfer")
-
-    transfer_by_sides = {}
-    if use_transfer:
-        n_max = max(s[0] for s in sides_list)
-        try:
-            for rec in out_size_transfer_1d(ca, n_max):
-                transfer_by_sides[rec.sides] = rec
-        except BudgetExceeded as exc:
-            if method == "transfer":
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            transfer_by_sides = {}
-    records = [transfer_by_sides.get(sides) for sides in sides_list]
-    todo = [i for i, rec in enumerate(records) if rec is None]
-    brute = out_sizes_bruteforce(ca, [sides_list[i] for i in todo], budget=args.budget)
-    for i, rec in zip(todo, brute):
-        records[i] = rec
+    if method == "auto":
+        records = out_sizes(ca, sides_list, budget=args.budget)
+    elif method == "brute":
+        records = out_sizes_bruteforce(ca, sides_list, budget=args.budget)
+    else:  # a refusal propagates: error, exit 2
+        by_length = out_size_transfer_1d(ca, max(s[0] for s in sides_list))
+        records = [by_length[s[0] - 1] for s in sides_list]
 
     out, close = _open_out(args.out)
     try:
@@ -379,6 +369,7 @@ def cmd_fekete(args) -> int:
         f = load_fekete_table(args.table)
 
     schedule = parse_schedule(args.schedule, f.dim)
+    base = parse_sides(args.base, f.dim) if args.base else max(schedule)
     if args.table:
         for box in schedule:
             if box not in f.table:
@@ -386,6 +377,8 @@ def cmd_fekete(args) -> int:
                     f"table is incomplete on the schedule: missing index "
                     + "x".join(str(s) for s in box)
                 )
+        if base not in f.table:
+            raise DescriptionError(f"base {args.base} is not a key of the table")
         violations = check_subadditivity_on_table(f)
         scope = f"table ({len(f.table)} entries)"
     else:
@@ -415,7 +408,6 @@ def cmd_fekete(args) -> int:
         return EXIT_VIOLATIONS
 
     print("violations: 0")
-    base = parse_sides(args.base, f.dim) if args.base else max(schedule)
     est = fekete_limit_estimate(f, base, schedule)
     lo, hi = est.bracket
     print(f"boxes evaluated: {len(est.evaluated_boxes)}")

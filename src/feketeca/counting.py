@@ -16,26 +16,29 @@ can produce on a box):
   E'+N <= E+N.  The bitmap takes q^volume bytes, at most q^|E+N| and so
   at most the budget, and is allocated only after the budget check
   passes; one is alive at a time, plus its smaller restrictions;
-* a 1D image-automaton path: the sliding-window structure gives an
-  edge-labelled de Bruijn graph whose label words are exactly the
-  reachable patterns, and determinizing it by subsets makes the count a
-  path count.  Each subset is stepped once, into a row of successor ids;
-  one length of the path count is then a gather and an `np.add.reduceat`
-  over exact-integer object arrays, following a plan built for the live
-  subset set.  Only the last plan is kept, and the live set settles
-  within a few lengths, so one plan serves almost every length.
+* a 1D subset DFA: the sliding-window structure gives an edge-labelled
+  de Bruijn graph whose label words are exactly the reachable patterns.
+  `_SubsetDFA` determinizes it lazily, numbering subsets in the
+  breadth-first order they are reached from the full set.  The count is
+  a path count: each subset is stepped once, into a row of successor
+  ids, and one length is a gather and an `np.add.reduceat` over
+  exact-integer object arrays, following a plan built for the live
+  subset set (only the last plan is kept; the live set settles within a
+  few lengths).  The surjectivity decision walks the same numbering: an
+  orphan word exists iff the empty subset is reached, and the word is
+  read back through the parent steps.
 
-The two must agree wherever both run; they share no machinery.  Counts
+`out_sizes` is the one place that picks the route: the DFA in dimension
+1, brute force in higher dimensions or when the DFA refuses.  The two
+routes must agree wherever both run; they share no machinery.  Counts
 are exact Python integers throughout (q^volume overflows fixed width at
-modest sizes).  Orphan search and the classical 1D surjectivity decision
-(an orphan word exists iff the empty subset is reachable from the full
-one) live here too.
+modest sizes).  Orphan search lives here too.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,7 @@ __all__ = [
     "out_size_bruteforce",
     "out_sizes_bruteforce",
     "out_size_transfer_1d",
+    "out_sizes",
     "find_orphan",
     "decide_surjectivity_1d",
 ]
@@ -100,22 +104,6 @@ class OrphanCertificate:
 class Decision1D:
     surjective: bool
     orphan_word: tuple[int, ...] | None
-
-
-def _window_rule(ca: CellularAutomaton) -> tuple[int, int, np.ndarray]:
-    """(span m, min offset, rule output per base-q code of a full m-window)."""
-    offs = [o[0] for o in ca.neighborhood]
-    mn, mx = min(offs), max(offs)
-    m = mx - mn + 1
-    q = ca.state_count
-    win = np.arange(q**m, dtype=np.int64)
-    digits = [(win // q ** (m - 1 - p)) % q for p in range(m)]
-    nb = ca.neighborhood_size
-    idx = np.zeros(q**m, dtype=np.int64)
-    for i, off in enumerate(offs):
-        idx += digits[off - mn] * q ** (nb - 1 - i)
-    table = np.asarray(ca.rule_table, dtype=np.int64)
-    return m, mn, table[idx]
 
 
 def _enumeration_cells(
@@ -311,81 +299,84 @@ def find_orphan(
     return OrphanCertificate(sides=sides, pattern=pattern)
 
 
-class _ImageAutomaton1D:
-    """Edge-labelled de Bruijn graph of a 1D rule, with subset stepping.
+class _SubsetDFA:
+    """Subset construction over the de Bruijn graph of a 1D rule, grown lazily.
 
-    Vertices are the q^(m-1) overlap words; reading one more input cell c
-    moves u to (u+c)[1:] and emits the rule output of the full window u+c.
-    Vertex sets are bit masks; stepping a mask by an output label is
-    deterministic, so distinct label words correspond to paths in a
-    subset DFA whose dead state is mask 0.
+    Vertices are the q^(m-1) overlap words of a rule of span m; reading
+    one more input cell c moves u to (u+c)[1:] and emits the rule output
+    of the full window u+c, so the label words are exactly the reachable
+    patterns.  Vertex sets are bit masks.  Id 0 is the full set; `succ`
+    gives every other nonempty subset the next id when it first reaches
+    it and records in `parent` the step that did, as id * q + label in
+    one machine word (-1 for the full set), and -1 stands for the empty
+    subset.  Both callers step ids in increasing order with labels
+    ascending, so ids are breadth-first order.
     """
 
     def __init__(self, ca: CellularAutomaton):
-        if ca.dimension != 1:
-            raise ValueError("image automaton requires dimension 1")
+        offs = [o[0] for o in ca.neighborhood]
+        mn = min(offs)
+        m = max(offs) - mn + 1
         q = ca.state_count
-        m, _, wout = _window_rule(ca)
+        nb = ca.neighborhood_size
+        win = np.arange(q**m, dtype=np.int64)
+        idx = sum(
+            (win // q ** (m - 1 - (off - mn))) % q * q ** (nb - 1 - i)
+            for i, off in enumerate(offs)
+        )
+        wout = np.asarray(ca.rule_table, dtype=np.int64)[idx]
         n_states = q ** (m - 1)
         targets = [[0] * q for _ in range(n_states)]
-        for u in range(n_states):
-            for c in range(q):
-                w_code = u * q + c
-                label = int(wout[w_code])
-                v = w_code % n_states  # drop the oldest cell
-                targets[u][label] |= 1 << v
+        for w, label in enumerate(wout.tolist()):  # window w = u+c; drop its oldest cell
+            targets[w // q][label] |= 1 << (w % n_states)
         self.q = q
-        self.n_states = n_states
-        self.full_mask = (1 << n_states) - 1
         self._targets = targets
+        full = (1 << n_states) - 1
+        self.masks = [full]
+        self.ids = {full: 0}
+        self.parent = array("q", [-1])
 
-    def step(self, mask: int, label: int) -> int:
+    def succ(self, i: int, label: int) -> int:
+        """Id of the subset that subset i steps to by one label; -1 if empty."""
         nxt = 0
         targets = self._targets
-        rest = mask
+        rest = self.masks[i]
         while rest:
             low = rest & -rest
             nxt |= targets[low.bit_length() - 1][label]
             rest ^= low
-        return nxt
+        if not nxt:
+            return -1
+        j = self.ids.get(nxt)
+        if j is None:
+            j = self.ids[nxt] = len(self.masks)
+            self.masks.append(nxt)
+            self.parent.append(i * self.q + label)
+        return j
 
 
 def out_size_transfer_1d(
     ca: CellularAutomaton, n_max: int, max_subsets: int = 1 << 16
 ) -> list[OutRecord]:
-    """Exact output sizes for n = 1..n_max via the image automaton.
+    """Exact output sizes for n = 1..n_max via the subset DFA.
 
     Counts distinct label words of each length by dynamic programming
-    over subset-DFA states.  Each subset gets an integer id the first time
-    it is live, and its row of q successor ids (-1 for the dead subset) is
-    stepped once.  The live ids at length n form an array whose counts
-    are a numpy object array of exact Python integers.  A plan for one
-    live set (the gather index sorted by successor, the reduceat starts
-    and the next live set) turns a length into one
-    `np.add.reduceat(counts[gather], starts)`; only the last plan is kept,
-    rebuilt when the live set changes, so memory stays at one plan while
-    the live set, which settles within a few lengths, reuses it.  Refuses
-    if the live subset count ever exceeds max_subsets.
+    over `_SubsetDFA` states, with exact Python integer counts in numpy
+    object arrays.  Each subset's row of q successor ids is stepped once,
+    when the subset is first live.  A plan for one live set (the gather
+    index sorted by successor, the reduceat starts and the next live set)
+    turns a length into one `np.add.reduceat(counts[gather], starts)`;
+    only the last plan is kept, rebuilt when the live set changes, and
+    the live set settles within a few lengths.  Refuses if the live
+    subset count ever exceeds max_subsets.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    auto = _ImageAutomaton1D(ca)
-    q = ca.state_count
-    masks = [auto.full_mask]
-    ids = {auto.full_mask: 0}
+    dfa = _SubsetDFA(ca)
+    q = dfa.q
     rows = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
-
-    def subset_id(mask: int) -> int:
-        if not mask:
-            return -1
-        i = ids.get(mask)
-        if i is None:
-            i = ids[mask] = len(masks)
-            masks.append(mask)
-        return i
-
     live = np.zeros(1, dtype=np.int64)
     counts = np.ones(1, dtype=object)
     plan_key = None
@@ -393,7 +384,7 @@ def out_size_transfer_1d(
     for n in range(1, n_max + 1):
         if live.tobytes() != plan_key:
             plan_key = live.tobytes()
-            fresh = [[subset_id(auto.step(m, c)) for c in range(q)] for m in masks[len(rows):]]
+            fresh = [[dfa.succ(i, c) for c in range(q)] for i in range(len(rows), len(dfa.masks))]
             rows = np.concatenate([rows, np.array(fresh, dtype=np.int64).reshape(-1, q)])
             succ = rows[live]
             src, label = np.nonzero(succ >= 0)
@@ -422,41 +413,56 @@ def out_size_transfer_1d(
     return records
 
 
+def out_sizes(
+    ca: CellularAutomaton, sides_list, budget: int = DEFAULT_BUDGET
+) -> list[OutRecord | BudgetExceeded]:
+    """Exact output sizes of boxes at the origin, each by the route that fits.
+
+    Returns one OutRecord, or the BudgetExceeded refusal, per box in
+    order.  In dimension 1 every length is read off one
+    `out_size_transfer_1d` call up to the longest box; in dimension >= 2,
+    or when the transfer refuses, `out_sizes_bruteforce` counts the boxes
+    under the budget.
+    """
+    boxes = [as_index(s, ca.dimension) for s in sides_list]
+    if ca.dimension == 1 and boxes:
+        try:
+            records = out_size_transfer_1d(ca, max(b[0] for b in boxes))
+        except BudgetExceeded:
+            pass
+        else:
+            return [records[b[0] - 1] for b in boxes]
+    return out_sizes_bruteforce(ca, boxes, budget)
+
+
 def decide_surjectivity_1d(
     ca: CellularAutomaton, max_subsets: int = 1 << 20
 ) -> Decision1D:
     """Decide surjectivity of a 1D automaton; always terminates.
 
-    Breadth-first search over vertex subsets starting from the full set:
-    an orphan word exists iff the empty subset is reachable.  Labels are
-    tried in ascending order, so the returned orphan word is the
-    lexicographically least one of minimal length.
+    Walks the subset DFA from the full set in id order, which is
+    breadth-first order: an orphan word exists iff the empty subset is
+    reachable.  Labels are tried in ascending order, so the word read
+    back through `parent` to the first empty step is the
+    lexicographically least orphan word of minimal length.  Refuses once
+    more than max_subsets subsets have been reached.
     """
     if ca.dimension != 1:
         raise ValueError("the exact decision procedure requires dimension 1")
-    auto = _ImageAutomaton1D(ca)
-    q = ca.state_count
-    start = auto.full_mask
-    parent: dict[int, tuple[int, int] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        mask = queue.popleft()
-        for label in range(q):
-            t = auto.step(mask, label)
-            if t == 0:
+    dfa = _SubsetDFA(ca)
+    i = 0
+    while i < len(dfa.masks):
+        for label in range(dfa.q):
+            if dfa.succ(i, label) < 0:
                 word = [label]
-                back = mask
-                while parent[back] is not None:
-                    back, lab = parent[back]
-                    word.append(lab)
-                word.reverse()
-                return Decision1D(surjective=False, orphan_word=tuple(word))
-            if t not in parent:
-                parent[t] = (mask, label)
-                queue.append(t)
-                if len(parent) > max_subsets:
-                    raise BudgetExceeded(
-                        f"subset search visited {len(parent)} subsets, cap is {max_subsets}",
-                        cost=len(parent),
-                    )
+                while dfa.parent[i] >= 0:
+                    i, back = divmod(dfa.parent[i], dfa.q)
+                    word.append(back)
+                return Decision1D(surjective=False, orphan_word=tuple(reversed(word)))
+            if len(dfa.masks) > max_subsets:
+                raise BudgetExceeded(
+                    f"subset search visited {len(dfa.masks)} subsets, cap is {max_subsets}",
+                    cost=len(dfa.masks),
+                )
+        i += 1
     return Decision1D(surjective=True, orphan_word=None)

@@ -183,15 +183,6 @@ def subadditivity_triple_count(box) -> int:
     return total
 
 
-def _iter_triples_exhaustive(box: MultiIndex):
-    ranges = [range(1, side + 1) for side in box]
-    for axis in range(box.dim):
-        for coords in itertools.product(*ranges):
-            room = box[axis] - coords[axis]
-            for y in range(1, room + 1):
-                yield axis, coords, y
-
-
 def _iter_triples_sampled(box: MultiIndex, seed: int, samples: int):
     rng = random.Random(seed)
     axes = [j for j, side in enumerate(box) if side >= 2]
@@ -216,12 +207,20 @@ def check_subadditivity(
 
     Every tested triple (axis, x, y) satisfies x <= box coordinatewise and
     x[axis] + y <= box[axis].  The sweep is exhaustive when the triple
-    count is at most `exhaustive_limit`; otherwise `samples` triples are
-    drawn from a deterministic seeded generator.  Negative values of f are
-    reported as their own violation kind.  Returns the empty list iff the
-    inequality held (up to float rounding noise) on every tested triple.
+    count is at most `exhaustive_limit`: f is tabulated on every cell of
+    the box and `check_subadditivity_on_table` tests the table, so the
+    violations come in its order (negative values first, then table order
+    of x, which is row-major, then axis, then y).  Otherwise `samples`
+    triples are drawn from a deterministic seeded generator.  Negative
+    values of f are reported as their own violation kind.  Returns the
+    empty list iff the inequality held (up to float rounding noise) on
+    every tested triple.
     """
     box = as_index(box, f.dim)
+    if subadditivity_triple_count(box) <= exhaustive_limit:
+        grid = itertools.product(*[range(1, side + 1) for side in box])
+        return check_subadditivity_on_table({MultiIndex(c): f(c) for c in grid})
+
     memo: dict[MultiIndex, float] = {}
     violations: list[Violation] = []
 
@@ -234,12 +233,7 @@ def check_subadditivity(
                 violations.append(Violation("negative", -1, pt, 0, val, 0.0))
         return val
 
-    if subadditivity_triple_count(box) <= exhaustive_limit:
-        triples = _iter_triples_exhaustive(box)
-    else:
-        triples = _iter_triples_sampled(box, seed, samples)
-
-    for axis, coords, y in triples:
+    for axis, coords, y in _iter_triples_sampled(box, seed, samples):
         x = MultiIndex(coords)
         lhs = ev(x.replace_coord(axis, x[axis] + y))
         rhs = ev(x) + ev(x.replace_coord(axis, y))
@@ -322,11 +316,6 @@ class FeketeEstimate:
     tail_slope: float
     base: MultiIndex | None = None
     base_ratio: float | None = None
-
-    @property
-    def bracket_width(self) -> float:
-        """Convergence gap between the largest box's ratio and the infimum."""
-        return self.last_ratio - self.running_inf
 
     @property
     def bracket(self) -> tuple[float, float]:

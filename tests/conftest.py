@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from feketeca import CellularAutomaton, counting, decode_states, make_builtin
+from feketeca import BudgetExceeded, CellularAutomaton, counting, decode_states, make_builtin
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +63,14 @@ def enumerations(monkeypatch):
 
     monkeypatch.setattr(counting, "_image_bitmap", counted)
     return calls
+
+
+@pytest.fixture
+def refused_transfer(monkeypatch):
+    """Make every `counting.out_size_transfer_1d` call refuse, as a rule
+    whose subset construction outgrows its cap would."""
+
+    def refuse(ca, n_max, max_subsets=1 << 16):
+        raise BudgetExceeded("subset construction refused", cost=max_subsets + 1)
+
+    monkeypatch.setattr(counting, "out_size_transfer_1d", refuse)

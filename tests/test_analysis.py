@@ -52,14 +52,6 @@ class TestLoss:
                 assert 0.0 <= l.ratio <= 1.0
                 assert l.lambda_qits >= 0.0
 
-    def test_bits_conversion(self, and2d):
-        l = loss(and2d, out_size_bruteforce(and2d, (3, 3)))
-        assert abs(l.lambda_bits - l.lambda_qits * 1.0) < 1e-12  # q = 2: bits = qits
-        three = CellularAutomaton(1, 3, ((0,),), (0, 0, 0), name="const3")
-        rec = out_size_bruteforce(three, 2)
-        l3 = loss(three, rec)
-        assert abs(l3.lambda_bits - l3.lambda_qits * math.log2(3)) < 1e-12
-
 
 class TestLambdaEstimate:
     def test_shift_bracket_is_one(self, shift):
@@ -98,6 +90,19 @@ class TestLambdaEstimate:
         assert est.partial
         assert any("skipped" in n for n in est.notes)
         assert est.records  # the feasible box still contributes
+
+    def test_partial_only_when_a_box_is_skipped(self, and1d, refused_transfer):
+        # brute force recovers every box the refused transfer would have given
+        est = lambda_estimate(and1d, diagonal_schedule(1, 8))
+        assert not est.partial and est.notes == ()
+        assert [r.out_size for r in est.records] == list(oracles.AND1D_OUT)
+        assert {r.method for r in est.records} == {"bruteforce"}
+
+    def test_records_follow_the_schedule_first_occurrence(self, and1d, and2d):
+        est = lambda_estimate(and1d, [(3,), (1,), (3,), (2,)])
+        assert [r.sides for r in est.records] == [(3,), (1,), (2,)]
+        est = lambda_estimate(and2d, [(2, 2), (1, 1), (2, 2)])
+        assert [r.sides for r in est.records] == [(2, 2), (1, 1)]
 
     def test_fekete_engine_directly_on_and_counts(self, and1d):
         # the counting table fed straight into the standalone engine
@@ -156,6 +161,13 @@ class TestThresholds:
         # ratio(3) = log2(7)/3 > 0.9 but ratio(4) < 0.9 and stays below
         assert rep.t == (4,)
         assert rep.verified
+
+    def test_transfer_refusal_falls_back_to_bruteforce(self, and1d, refused_transfer):
+        rep = theorem2_threshold(and1d, K=1, r=(1,), delta=0.85, search_box=(16,))
+        assert rep.found and rep.verified
+        assert rep.t == (14,) and rep.checked_region == ((14,), (15,), (16,))
+        # the least ratio in the box is the one at n = 16
+        assert abs(rep.lambda_upper - math.log2(oracles.and1d_recurrence(16)[16]) / 16) < 1e-12
 
     def test_delta_validation(self, and1d):
         with pytest.raises(ValueError):

@@ -61,13 +61,6 @@ class TestSupports:
         assert region.cells == ((0,), (2,))  # hull cell 1 is absent
         assert region.hull.sides == (3,)
 
-    def test_translate(self):
-        E = RightPolytope(MultiIndex((3,)), (0,))
-        assert E.translate((5,)).origin == (5,)
-        assert E.translate((0,)) == E
-        E2 = RightPolytope(MultiIndex((2, 2)), (0, 0))
-        assert E2.translate((-1, 3)).origin == (-1, 3)
-
 
 class TestPatternCodes:
     def test_round_trip_exhaustive_small_volumes(self):

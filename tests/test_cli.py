@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from feketeca import cli
+from feketeca import cli, counting
 from feketeca.cli import (
     EXIT_NONSURJECTIVE,
     EXIT_OK,
@@ -190,6 +190,17 @@ class TestOutTable:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "# states: a=0 b=1"
 
+    def test_transfer_refusal(self, describe, capsys, monkeypatch, refused_transfer):
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        # auto falls back to brute force
+        assert cli.main(["out-table", path, "--max-sides", "6"]) == EXIT_OK
+        assert capsys.readouterr() == (AND1D_TABLE_CSV, "")
+        # the transfer method reports the refusal
+        monkeypatch.setattr(cli, "out_size_transfer_1d", counting.out_size_transfer_1d)
+        argv = ["out-table", path, "--max-sides", "6", "--method", "transfer"]
+        assert cli.main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: subset construction refused\n")
+
     @pytest.mark.parametrize(
         "name, extra, top, rows",
         [
@@ -279,6 +290,20 @@ class TestLambda:
         assert "lambda bracket: [0.811370, 0.811541]" in out
         assert "x1,out_size,ratio" in out
 
+    def test_schedule_order_first_occurrence(self, describe, capsys):
+        path = describe("and2d", {"rule": {"builtin": "and2d"}})
+        assert cli.main(["lambda", path, "--schedule", "3x3,2x2,3x3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "boxes evaluated: 2" in out
+        assert out.endswith("x1,x2,out_size,ratio\n3,3,340,0.934376770682\n2,2,16,1\n")
+
+    def test_no_partial_line_when_bruteforce_recovers(self, describe, capsys, refused_transfer):
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        assert cli.main(["lambda", path, "--schedule", "diag:1..8"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "partial" not in out
+        assert "boxes evaluated: 8" in out
+
     def test_deterministic(self, describe, capsys):
         path = describe("and", {"rule": {"builtin": "and1d"}})
         cli.main(["lambda", path, "--schedule", "diag:1..100"])
@@ -327,6 +352,13 @@ class TestFekete:
         rc = cli.main(["fekete", "--table", str(path), "--schedule", "1,2,3"])
         assert rc == EXIT_USAGE
         assert "missing index 3" in capsys.readouterr().err
+
+    def test_base_missing_from_table(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"values": {"1": 3, "2": 6, "3": 9}}))
+        rc = cli.main(["fekete", "--table", str(path), "--schedule", "1,2", "--base", "5"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: base 5 is not a key of the table\n")
 
     def test_function_xor_table_exclusive(self, capsys):
         rc = cli.main(["fekete", "--schedule", "diag:1..5"])

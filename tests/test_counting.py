@@ -13,6 +13,7 @@ from feketeca import (
     find_orphan,
     out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes,
     out_sizes_bruteforce,
 )
 
@@ -296,8 +297,35 @@ class TestDecision1D:
             out_size_transfer_1d(and2d, 3)
 
     def test_subset_cap_refusal(self, and1d):
-        with pytest.raises(BudgetExceeded):
-            decide_surjectivity_1d(and1d, max_subsets=1)
+        for cap in (1, 2):
+            with pytest.raises(BudgetExceeded) as info:
+                decide_surjectivity_1d(and1d, max_subsets=cap)
+            assert str(info.value) == f"subset search visited {cap + 1} subsets, cap is {cap}"
+            assert info.value.cost == cap + 1
+        # the empty subset is reached before a fourth subset is
+        assert decide_surjectivity_1d(and1d, max_subsets=3).orphan_word == (1, 0, 1)
+
+
+class TestOutSizes:
+    def test_one_transfer_call_in_1d(self, and1d, enumerations):
+        recs = out_sizes(and1d, [5, (2,), 5, 1])
+        assert [r.sides for r in recs] == [(5,), (2,), (5,), (1,)]
+        assert [r.out_size for r in recs] == [21, 4, 21, 2]
+        assert all(r.method == "transfer1d" for r in recs)
+        assert enumerations == []
+
+    def test_bruteforce_in_2d(self, and2d):
+        boxes = [(2, 2), (5, 5), (1, 1)]
+        recs = out_sizes(and2d, boxes, budget=1 << 12)
+        assert recs[0] == out_size_bruteforce(and2d, (2, 2))
+        assert isinstance(recs[1], BudgetExceeded)
+        assert recs[2].out_size == 2
+
+    def test_transfer_refusal_falls_back_to_bruteforce(self, and1d, refused_transfer):
+        recs = out_sizes(and1d, [3, 40], budget=1024)
+        assert recs[0] == out_size_bruteforce(and1d, 3)
+        assert isinstance(recs[1], BudgetExceeded)
+        assert recs[1].cost == 2**41
 
 
 class TestCrossMethod:

@@ -17,6 +17,7 @@ from feketeca import (
     CellularAutomaton,
     RightPolytope,
     counting,
+    decide_surjectivity_1d,
     find_orphan,
     induced_map,
     minkowski_sum,
@@ -28,6 +29,8 @@ from feketeca import (
 _SPAN_CAP = 4096  # q^span: size of the window table the transfer route builds
 _ENUM_CAP = 1 << 14  # q^|E+N| brute force may enumerate per example
 _PREIMAGE_CAP = 4096  # q^|E+N| up to which a certificate is re-checked
+_DECIDE_CAP = 1 << 16  # q^|E+N| up to which the decision is re-checked by brute force
+_DECIDE_SUBSETS = 1 << 12  # subset cap for the decision under test
 
 _settings = settings(max_examples=250, deadline=None, derandomize=True)
 
@@ -171,3 +174,37 @@ def test_batch_equals_single_box_enumeration(small_chunks, case):
         else:
             assert rec.sides == sides and rec.method == "bruteforce"
             assert (rec.out_size, rec.full_size) == (ref, ca.state_count ** rec.sides.volume)
+
+
+@st.composite
+def rule_1d(draw):
+    """A 1D rule, one to three distinct offsets in -3..3 (so negative and
+    gapped neighbourhoods), q 2-3 with q^span <= 243 (a wider q = 3 rule
+    can take seconds to decide), and a balanced or a seeded random table."""
+    k = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True))
+    q = draw(st.integers(2, 3 if 3 ** (max(offsets) - min(offsets) + 1) <= 243 else 2))
+    rng = draw(st.randoms(use_true_random=False))
+    table = [rng.randrange(q) for _ in range(q**k)]
+    if draw(st.booleans()):  # each state equally often: surjective rules live here
+        table = [v % q for v in rng.sample(range(q**k), q**k)]
+    return CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+
+
+@_settings
+@given(rule_1d())
+def test_decision_agrees_with_orphan_search(ca):
+    try:
+        dec = decide_surjectivity_1d(ca, max_subsets=_DECIDE_SUBSETS)
+    except counting.BudgetExceeded:
+        return  # some wide rules have subset DFAs too large to walk here
+    reach = 0  # longest length brute force re-checks
+    while _input_count(ca, reach + 1) <= _DECIDE_CAP:
+        reach += 1
+    word = dec.orphan_word or ()
+    shortest = len(word) if word else reach + 1
+    # no orphan is shorter than the decision's word, and none exists if surjective
+    assert all(find_orphan(ca, k) is None for k in range(1, min(shortest, reach + 1)))
+    if word and len(word) <= reach:
+        # the lexicographically least shortest word is the code-minimal orphan
+        assert find_orphan(ca, len(word)).pattern.cells == word

@@ -158,6 +158,13 @@ def test_table_check_matches_reference_loop(table):
         (type(v.x), type(v.y), type(v.lhs), type(v.rhs)) == (MultiIndex, int, float, float)
         for v in got
     )
+    box = tuple(map(max, zip(*table)))
+    if len(table) == math.prod(box):
+        # a full box: the exhaustive check tabulates f on it, in row-major order
+        grid = {c: table[c] for c in itertools.product(*[range(1, s + 1) for s in box])}
+        assert check_subadditivity(SubadditiveFn.from_table(table), box) == (
+            _table_check_reference(grid)
+        )
 
 
 def test_table_check_far_coordinate_is_cheap():
