@@ -13,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 
 from .analysis import (
@@ -31,6 +32,7 @@ from .counting import (
     out_sizes_bruteforce,
 )
 from .subadditive import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     MultiIndex,
     SubadditiveFn,
     check_subadditivity,
@@ -386,8 +388,13 @@ def cmd_fekete(args) -> int:
         for b in schedule[1:]:
             box = box.join(b)
         count = subadditivity_triple_count(box)
-        violations = check_subadditivity(f, box, seed=args.seed)
-        mode = "exhaustive" if count <= 10**6 else f"sampled (seed {args.seed})"
+        try:
+            violations = check_subadditivity(
+                f, box, exhaustive_limit=DEFAULT_EXHAUSTIVE_LIMIT, seed=args.seed
+            )
+        except ValueError as exc:
+            raise DescriptionError(str(exc)) from None
+        mode = "exhaustive" if count <= DEFAULT_EXHAUSTIVE_LIMIT else f"sampled (seed {args.seed})"
         scope = f"box {'x'.join(str(s) for s in box)}, {count} triples, {mode}"
 
     print(f"function: {f.name} (dimension {f.dim})")
@@ -480,7 +487,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint():  # console script
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (`feketeca ... | head`): end as a process
+        # killed by SIGPIPE would, without a traceback; stdout goes to
+        # /dev/null so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13
+    sys.exit(code)
 
 
 if __name__ == "__main__":

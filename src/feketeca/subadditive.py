@@ -48,6 +48,9 @@ _REL_TOL = 1e-9
 # Most (x, total) pairs one block of the table check holds.
 _PAIR_BLOCK = 1 << 12
 
+# Most triples `check_subadditivity` tests exhaustively before it samples.
+DEFAULT_EXHAUSTIVE_LIMIT = 10**6
+
 
 class MultiIndex(tuple):
     """A d-tuple of positive integers: a box size, or a lattice point.
@@ -131,17 +134,7 @@ class SubadditiveFn:
 
         Evaluating an index absent from the table raises KeyError naming it.
         """
-        if not values:
-            raise ValueError("table must be nonempty")
-        table = {}
-        dim = None
-        for key, val in values.items():
-            idx = as_index(key)
-            if dim is None:
-                dim = idx.dim
-            elif idx.dim != dim:
-                raise ValueError(f"table keys mix dimensions ({dim} and {idx.dim})")
-            table[idx] = float(val)
+        table = _index_table(values, float)
 
         def lookup(x: MultiIndex) -> float:
             try:
@@ -149,9 +142,26 @@ class SubadditiveFn:
             except KeyError:
                 raise KeyError(f"table has no value at index {tuple(x)}") from None
 
-        fn = cls(dim, lookup, name=name)
+        fn = cls(next(iter(table)).dim, lookup, name=name)
         fn.table = table
         return fn
+
+
+def _index_table(values: Mapping, convert: Callable) -> dict:
+    """The mapping with keys coerced to MultiIndex of one dimension and
+    values passed through `convert`."""
+    if not values:
+        raise ValueError("table must be nonempty")
+    table = {}
+    dim = None
+    for key, val in values.items():
+        idx = as_index(key)
+        if dim is None:
+            dim = idx.dim
+        elif idx.dim != dim:
+            raise ValueError(f"table keys mix dimensions ({dim} and {idx.dim})")
+        table[idx] = convert(val)
+    return table
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,8 @@ class Violation:
     kind "subadditive": splitting coordinate `axis` (0-based) of `x` as
     x[axis] = x[axis] + y gave lhs > rhs.  kind "negative": f returned a
     value below zero at `x` (already outside the hypothesis); then axis
-    is -1 and y/rhs are 0.
+    is -1 and y/rhs are 0.  lhs and rhs are floats, except from the
+    multiplicative table check, which keeps them as exact ints.
     """
 
     kind: str
@@ -183,23 +194,54 @@ def subadditivity_triple_count(box) -> int:
     return total
 
 
-def _iter_triples_sampled(box: MultiIndex, seed: int, samples: int):
-    rng = random.Random(seed)
-    axes = [j for j, side in enumerate(box) if side >= 2]
-    if not axes:
-        return
-    for _ in range(samples):
-        axis = rng.choice(axes)
-        coords = [rng.randint(1, side) for side in box]
-        coords[axis] = rng.randint(1, box[axis] - 1)
-        y = rng.randint(1, box[axis] - coords[axis])
-        yield axis, tuple(coords), y
+def _exceeds(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Elementwise lhs > rhs beyond rounding noise (see `_REL_TOL`)."""
+    return lhs > rhs + _REL_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer matrix in lexicographic order, and the
+    position of each row of `a` among them."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _floor_below(u: np.ndarray, n) -> np.ndarray:
+    """Uniform floats u in [0, 1) scaled to integers in [0, n)."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def _sample_triples(box: MultiIndex, axes: list[int], seed: int, samples: int):
+    """Distinct (x, axis, y) arrays of `samples` draws inside the box, in
+    the order of x, then axis, then y.
+
+    Each draw takes d + 2 uniform 53-bit floats from `random.Random(seed)`:
+    the axis among `axes`, x (below the side on that axis, so y >= 1 fits)
+    and y up to the side.
+    """
+    d = len(box)
+    raw = np.frombuffer(random.Random(seed).randbytes(8 * samples * (d + 2)), dtype="<u8")
+    u = ((raw >> np.uint64(11)) * 2.0**-53).reshape(samples, d + 2)
+    sides = np.array(box, dtype=np.int64)
+    rows = np.arange(samples)
+    axis = np.array(axes)[_floor_below(u[:, 0], len(axes))]
+    room = np.tile(sides, (samples, 1))
+    room[rows, axis] -= 1
+    x = 1 + _floor_below(u[:, 1:d + 1], room)
+    y = 1 + _floor_below(u[:, d + 1], sides[axis] - x[rows, axis])
+    triples, _ = _unique_rows(np.column_stack([x, axis, y]))
+    return triples[:, :d], triples[:, d], triples[:, d + 1]
 
 
 def check_subadditivity(
     f: SubadditiveFn,
     box,
-    exhaustive_limit: int = 10**6,
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     seed: int = 0,
     samples: int = 10_000,
 ) -> list[Violation]:
@@ -208,46 +250,72 @@ def check_subadditivity(
     Every tested triple (axis, x, y) satisfies x <= box coordinatewise and
     x[axis] + y <= box[axis].  The sweep is exhaustive when the triple
     count is at most `exhaustive_limit`: f is tabulated on every cell of
-    the box and `check_subadditivity_on_table` tests the table, so the
-    violations come in its order (negative values first, then table order
-    of x, which is row-major, then axis, then y).  Otherwise `samples`
-    triples are drawn from a deterministic seeded generator.  Negative
-    values of f are reported as their own violation kind.  Returns the
-    empty list iff the inequality held (up to float rounding noise) on
-    every tested triple.
+    the box and `check_subadditivity_on_table` tests the table.  Otherwise
+    `samples` triples are drawn at once as uniform floats from
+    `random.Random(seed)`: an axis that can be split, x on it below the
+    box side, the other coordinates of x anywhere in the box, and y up
+    to the box side.  A triple drawn twice is tested once, and f is
+    evaluated once per distinct point.  Either way the violations come
+    in the same order: negative values of f first (their own violation
+    kind), in row-major order of the point, then row-major order of x,
+    then axis, then y; so the sampled result is an ordered sublist of
+    the exhaustive one.  Returns the empty list iff the inequality held
+    (up to float rounding noise) on every tested triple.
     """
     box = as_index(box, f.dim)
     if subadditivity_triple_count(box) <= exhaustive_limit:
         grid = itertools.product(*[range(1, side + 1) for side in box])
         return check_subadditivity_on_table({MultiIndex(c): f(c) for c in grid})
 
-    memo: dict[MultiIndex, float] = {}
-    violations: list[Violation] = []
+    axes = [j for j, side in enumerate(box) if side >= 2]
+    if samples <= 0 or not axes:
+        return []
+    if max(box) >= 1 << 63:
+        raise ValueError(f"sampling needs box sides below 2^63, got {tuple(box)}")
+    x, axis, y = _sample_triples(box, axes, seed, samples)
+    rows = np.arange(len(y))
+    other, total = x.copy(), x.copy()
+    other[rows, axis] = y
+    total[rows, axis] += y
+    coords, inv = _unique_rows(np.concatenate([x, other, total]))
 
-    def ev(pt: MultiIndex) -> float:
-        val = memo.get(pt)
-        if val is None:
-            val = f(pt)
-            memo[pt] = val
-            if val < 0:
-                violations.append(Violation("negative", -1, pt, 0, val, 0.0))
-        return val
+    def point(i: int) -> MultiIndex:  # in range by construction: not re-validated
+        return tuple.__new__(MultiIndex, coords[i].tolist())
 
-    for axis, coords, y in _iter_triples_sampled(box, seed, samples):
-        x = MultiIndex(coords)
-        lhs = ev(x.replace_coord(axis, x[axis] + y))
-        rhs = ev(x) + ev(x.replace_coord(axis, y))
-        if lhs > rhs + _REL_TOL * max(1.0, abs(lhs), abs(rhs)):
-            violations.append(Violation("subadditive", axis, x, y, lhs, rhs))
+    # f runs once per distinct point, with one point object alive at a time
+    vals = np.fromiter(
+        (f.fn(tuple.__new__(MultiIndex, c)) for c in zip(*coords.T.tolist())),
+        dtype=np.float64,
+        count=len(coords),
+    )
+    xi, oi, ti = inv.reshape(3, -1)
+    violations = [
+        Violation("negative", -1, point(i), 0, vals[i].item(), 0.0)
+        for i in np.flatnonzero(vals < 0)
+    ]
+    lhs, rhs = vals[ti], vals[xi] + vals[oi]
+    bad = _exceeds(lhs, rhs)
+    violations += [
+        Violation("subadditive", a, point(i), b, lo, hi)
+        for i, a, b, lo, hi in zip(*(part[bad].tolist() for part in (xi, axis, y, lhs, rhs)))
+    ]
     return violations
 
 
-def check_subadditivity_on_table(values: Mapping) -> list[Violation]:
+def check_subadditivity_on_table(
+    values: Mapping, *, multiplicative: bool = False
+) -> list[Violation]:
     """Subadditivity check restricted to triples fully covered by a table.
 
     Tests every (axis, x, y) for which x, the y-variant and the sum-variant
     all appear as keys.  Useful for sparse user-supplied tables where
     evaluating off-table points is impossible.
+
+    With `multiplicative=True` the values must be positive integers (such
+    as output counts, whose logarithm is meant to be subadditive) and the
+    test is f(x + y) <= f(x) * f(y), exact: the values stay Python ints
+    in object arrays, no tolerance applies, and a violation's lhs and
+    rhs are the exact ints.
 
     Keys are grouped into lines (all coordinates but `axis` equal); on a
     line with sorted positions p, the tested triples are the pairs
@@ -258,16 +326,22 @@ def check_subadditivity_on_table(values: Mapping) -> list[Violation]:
     costs no more than one at 10.  Violations come in table order of x,
     then axis, then y.
     """
-    f = values if isinstance(values, SubadditiveFn) else SubadditiveFn.from_table(values)
-    keys = list(f.table)
-    vals = np.fromiter(f.table.values(), dtype=np.float64, count=len(keys))
+    if multiplicative:
+        table = _index_table(values, operator.index)
+        if min(table.values()) < 1:
+            raise ValueError("the multiplicative check needs positive integer values")
+        vals = np.array(list(table.values()), dtype=object)
+    else:
+        table = values.table if isinstance(values, SubadditiveFn) else _index_table(values, float)
+        vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
+    keys = list(table)
     coords = np.array(keys, dtype=np.int64)
     violations = [
         Violation("negative", -1, keys[i], 0, vals[i].item(), 0.0)
         for i in np.flatnonzero(vals < 0)
     ]
     found = []  # (x key index, axis, y, lhs, rhs) arrays, one per block with a hit
-    for axis in range(f.dim):
+    for axis in range(coords.shape[1]):
         rest = np.delete(coords, axis, axis=1)
         order = np.lexsort((coords[:, axis], *rest.T))  # by line, then position
         cuts = np.flatnonzero((np.diff(rest[order], axis=0) != 0).any(axis=1)) + 1
@@ -280,8 +354,12 @@ def check_subadditivity_on_table(values: Mapping) -> list[Violation]:
                 other = np.minimum(np.searchsorted(pos, ys), len(pos) - 1)
                 row, col = np.nonzero(pos[other] == ys)
                 xi, ti, oi, y = xs[row], col + r0 + 1, other[row, col], ys[row, col]
-                lhs, rhs = val[ti], val[xi] + val[oi]
-                bad = lhs > rhs + _REL_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+                if multiplicative:
+                    lhs, rhs = val[ti], val[xi] * val[oi]
+                    bad = lhs > rhs
+                else:
+                    lhs, rhs = val[ti], val[xi] + val[oi]
+                    bad = _exceeds(lhs, rhs)
                 if bad.any():
                     found.append((idx[xi[bad]], np.full(bad.sum(), axis), y[bad], lhs[bad], rhs[bad]))
     if found:

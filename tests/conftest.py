@@ -1,8 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from feketeca import BudgetExceeded, CellularAutomaton, counting, decode_states, make_builtin
+from feketeca import (
+    BudgetExceeded,
+    CellularAutomaton,
+    OutRecord,
+    analysis,
+    counting,
+    decode_states,
+    make_builtin,
+)
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +83,22 @@ def refused_transfer(monkeypatch):
         raise BudgetExceeded("subset construction refused", cost=max_subsets + 1)
 
     monkeypatch.setattr(counting, "out_size_transfer_1d", refuse)
+
+
+@pytest.fixture
+def overcount(monkeypatch):
+    """Sides -> count: `lambda_estimate` receives these counts in place of
+    the true ones, as from a counting bug."""
+    planted = {}
+    real = analysis.out_sizes
+
+    def planting(ca, boxes, *args, **kwargs):
+        return [
+            replace(rec, out_size=planted[rec.sides])
+            if isinstance(rec, OutRecord) and rec.sides in planted
+            else rec
+            for rec in real(ca, boxes, *args, **kwargs)
+        ]
+
+    monkeypatch.setattr(analysis, "out_sizes", planting)
+    return planted

@@ -7,6 +7,7 @@ from feketeca import (
     CellularAutomaton,
     MultiIndex,
     VerdictStatus,
+    Violation,
     boundary_excess,
     diagonal_schedule,
     excess_ratio_threshold,
@@ -97,6 +98,42 @@ class TestLambdaEstimate:
         assert not est.partial and est.notes == ()
         assert [r.out_size for r in est.records] == list(oracles.AND1D_OUT)
         assert {r.method for r in est.records} == {"bruteforce"}
+
+    def test_exact_check_catches_a_small_overcount(self, and1d, overcount):
+        # Out(5) = 21 raised above Out(1) * Out(4) = 2 * 12; Out(2) * Out(3) = 28
+        overcount[(5,)] = 25
+        est = lambda_estimate(and1d, diagonal_schedule(1, 8))
+        assert est.subadditivity_violations == (
+            Violation("subadditive", 0, MultiIndex((1,)), 4, 25, 24),
+            Violation("subadditive", 0, MultiIndex((4,)), 1, 25, 24),
+        )
+
+    def test_exact_check_catches_a_dyadic_overcount_past_float_range(self, and1d, overcount):
+        big = out_size_transfer_1d(and1d, 1024)[-1].out_size
+        assert big**2 > 2**1024  # float(Out(2048)) would overflow
+        overcount[(2048,)] = big**2 + 1
+        est = lambda_estimate(and1d, [(3,), (1024,), (2048,)])
+        assert est.subadditivity_violations == (
+            Violation("subadditive", 0, MultiIndex((1024,)), 1024, big**2 + 1, big**2),
+        )
+
+    def test_exact_check_covers_every_key_in_2d(self, and2d, overcount):
+        est = lambda_estimate(and2d, [(1, 1), (1, 2), (1, 3), (2, 3)])
+        out = {r.sides: r.out_size for r in est.records}
+        assert est.subadditivity_violations == ()
+        bound = out[(1, 1)] * out[(1, 2)]
+        overcount[(1, 3)] = bound + 1
+        est = lambda_estimate(and2d, [(1, 1), (1, 2), (1, 3), (2, 3)])
+        assert est.subadditivity_violations == (
+            Violation("subadditive", 1, MultiIndex((1, 1)), 2, bound + 1, bound),
+            Violation("subadditive", 1, MultiIndex((1, 2)), 1, bound + 1, bound),
+        )
+
+    def test_schedule_without_checked_keys_runs_clean(self, and1d):
+        # neither 100 nor 300 is <= 64 or a power of two: nothing to check
+        est = lambda_estimate(and1d, [(100,), (300,)])
+        assert est.subadditivity_violations == ()
+        assert [r.sides for r in est.records] == [(100,), (300,)]
 
     def test_records_follow_the_schedule_first_occurrence(self, and1d, and2d):
         est = lambda_estimate(and1d, [(3,), (1,), (3,), (2,)])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from feketeca import cli, counting
+import feketeca
+from feketeca import cli, counting, out_size_transfer_1d
 from feketeca.cli import (
     EXIT_NONSURJECTIVE,
     EXIT_OK,
@@ -304,6 +309,18 @@ class TestLambda:
         assert "partial" not in out
         assert "boxes evaluated: 8" in out
 
+    @pytest.mark.parametrize(
+        "total, part, schedule, count", [(5, 1, "diag:1..8", 2), (2048, 1024, "3,1024,2048", 1)]
+    )
+    def test_warns_on_a_planted_overcount(
+        self, describe, capsys, and1d, overcount, total, part, schedule, count
+    ):
+        out = out_size_transfer_1d(and1d, total - part)
+        overcount[(total,)] = out[part - 1].out_size * out[-1].out_size + 1
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        assert cli.main(["lambda", path, "--schedule", schedule]) == EXIT_OK
+        assert f"\nWARNING: {count} log-subadditivity violations\n" in capsys.readouterr().out
+
     def test_deterministic(self, describe, capsys):
         path = describe("and", {"rule": {"builtin": "and1d"}})
         cli.main(["lambda", path, "--schedule", "diag:1..100"])
@@ -363,3 +380,45 @@ class TestFekete:
     def test_function_xor_table_exclusive(self, capsys):
         rc = cli.main(["fekete", "--schedule", "diag:1..5"])
         assert rc == EXIT_USAGE
+
+    def test_sampling_label_follows_the_limit_in_use(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_EXHAUSTIVE_LIMIT", 44)
+        rc = cli.main(["fekete", "--function", "n^2", "--schedule", "diag:1..10", "--seed", "3"])
+        assert rc == EXIT_VIOLATIONS
+        out = capsys.readouterr().out
+        assert "subadditivity check: box 10, 45 triples, sampled (seed 3)\n" in out
+
+    def test_box_past_int64_is_a_usage_error(self, capsys):
+        rc = cli.main(["fekete", "--function", "3n", "--schedule", str(1 << 63)])
+        assert rc == EXIT_USAGE
+        assert "sampling needs box sides below 2^63" in capsys.readouterr().err
+
+
+def _console_script(*argv, stdout):
+    """Run `feketeca.cli.entrypoint`, as the installed console script does."""
+    src = str(Path(feketeca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from feketeca.cli import entrypoint; entrypoint()"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+class TestConsoleScript:
+    def test_exit_code_passes_through(self):
+        proc = _console_script("fekete", "--function", "n^2", "--schedule", "diag:1..10",
+                               stdout=subprocess.PIPE)
+        assert proc.returncode == EXIT_VIOLATIONS
+        assert proc.stdout.endswith(b"estimate suppressed: the subadditivity hypothesis fails\n")
+        assert proc.stderr == b""
+
+    def test_closed_pipe_exits_141_without_traceback(self, describe):
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first line is written
+        try:
+            proc = _console_script("lambda", path, "--schedule", "diag:1..50", stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")

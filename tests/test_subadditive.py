@@ -167,6 +167,78 @@ def test_table_check_matches_reference_loop(table):
         )
 
 
+def _product_check_reference(values):
+    """Plain integer loop over every covered (x, axis, y), in table order of x."""
+    table = {MultiIndex(k): v for k, v in values.items()}
+    out = []
+    axis_max = [max(k[axis] for k in table) for axis in range(len(next(iter(table))))]
+    for x in table:
+        for axis in range(x.dim):
+            for y in range(1, axis_max[axis] - x[axis] + 1):
+                other = x.replace_coord(axis, y)
+                total = x.replace_coord(axis, x[axis] + y)
+                if other in table and total in table:
+                    lhs, rhs = table[total], table[x] * table[other]
+                    if lhs > rhs:
+                        out.append(Violation("subadditive", axis, x, y, lhs, rhs))
+    return out
+
+
+@st.composite
+def sparse_int_table(draw):
+    """A sparse 1D or 2D table over b^volume, for which every covered
+    triple is a tie, with planted excesses and deficits.  Values pass 2^53
+    early, where an excess of +1 is lost in float64."""
+    dim = draw(st.integers(1, 2))
+    side = draw(st.integers(1, 40 if dim == 1 else 9))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    base = draw(st.sampled_from([2, 3, 7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [c for c in itertools.product(range(1, side + 1), repeat=dim) if rng.random() < density]
+    rng.shuffle(cells)  # table order is not coordinate order
+    table = {}
+    for k in cells or [(side,) * dim]:
+        val = base ** math.prod(k)
+        kind = rng.random()
+        if kind < 0.15:
+            val += 1
+        elif kind < 0.25:
+            val += rng.randint(2, val)
+        elif kind < 0.4:
+            val -= rng.randint(1, val - 1)
+        table[k] = val
+    return table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_int_table())
+def test_multiplicative_table_check_matches_integer_loop(table):
+    got = check_subadditivity_on_table(table, multiplicative=True)
+    want = _product_check_reference(table)
+    assert got == want
+    with mock.patch.object(subadditive, "_PAIR_BLOCK", 5):
+        assert check_subadditivity_on_table(table, multiplicative=True) == want
+    assert all((type(v.lhs), type(v.rhs)) == (int, int) for v in got)
+
+
+def test_multiplicative_check_sees_one_above_float_precision():
+    table = {1: 3**20, 2: 3**40, 3: 3**60 + 1}
+    assert float(3**60 + 1) == float(3**20 * 3**40)
+    assert check_subadditivity_on_table(table, multiplicative=True) == [
+        Violation("subadditive", 0, MultiIndex((1,)), 2, 3**60 + 1, 3**60),
+        Violation("subadditive", 0, MultiIndex((2,)), 1, 3**60 + 1, 3**60),
+    ]
+    # the float check on the logarithms cannot tell the +1
+    assert check_subadditivity_on_table({k: math.log(v) for k, v in table.items()}) == []
+
+
+def test_multiplicative_check_wants_positive_integers():
+    with pytest.raises(ValueError, match="positive integer"):
+        check_subadditivity_on_table({1: 1, 2: 0}, multiplicative=True)
+    with pytest.raises(TypeError):
+        check_subadditivity_on_table({1: 1, 2: 1.5}, multiplicative=True)
+
+
 def test_table_check_far_coordinate_is_cheap():
     start = time.perf_counter()
     violations = check_subadditivity_on_table({1: 1.0, 2: 5.0, 10**9: 1.0, 10**9 + 1: 9.0})
@@ -176,6 +248,61 @@ def test_table_check_far_coordinate_is_cheap():
         Violation("subadditive", 0, MultiIndex((1,)), 10**9, 9.0, 2.0),
         Violation("subadditive", 0, MultiIndex((10**9,)), 1, 9.0, 2.0),
     ]
+
+
+class TestSampledCheck:
+    """`check_subadditivity` past its exhaustive limit."""
+
+    BUMPY = SubadditiveFn(2, lambda x: float((x[0] - 4) ** 2 + x[1] ** 2) - 5.0, name="bumpy")
+
+    def test_violations_match_direct_evaluation(self):
+        violations = check_subadditivity(self.BUMPY, (9, 7), exhaustive_limit=0, samples=500)
+        assert {v.kind for v in violations} == {"negative", "subadditive"}
+        for v in violations:
+            if v.kind == "negative":
+                assert v.lhs == self.BUMPY(v.x) < 0
+                continue
+            total = v.x.replace_coord(v.axis, v.x[v.axis] + v.y)
+            assert v.lhs == self.BUMPY(total)
+            assert v.rhs == self.BUMPY(v.x) + self.BUMPY(v.x.replace_coord(v.axis, v.y))
+            assert v.lhs > v.rhs
+
+    def test_sampled_result_is_an_ordered_sublist_of_the_exhaustive_one(self):
+        exhaustive = check_subadditivity(self.BUMPY, (9, 7))
+        sampled = check_subadditivity(self.BUMPY, (9, 7), exhaustive_limit=0, samples=500)
+        assert 0 < len(sampled) < len(exhaustive)
+        rest = iter(exhaustive)
+        assert all(v in rest for v in sampled)
+
+    @pytest.mark.parametrize("box", [(2000,), (30, 1, 25)])
+    def test_every_triple_lies_in_the_box(self, box):
+        # (x + y)^2 > x^2 + y^2 along every axis: each drawn triple is reported
+        f = SubadditiveFn(len(box), lambda x: float(x.volume**2))
+        violations = check_subadditivity(f, box, exhaustive_limit=0, samples=3000, seed=4)
+        triples = [(v.axis, v.x, v.y) for v in violations]
+        assert len(set(triples)) == len(triples) > 2000  # distinct, few repeats
+        for axis, x, y in triples:
+            assert box[axis] >= 2
+            assert all(1 <= c <= side for c, side in zip(x, box))
+            assert x[axis] + y <= box[axis]
+        assert {axis for axis, _, _ in triples} == {j for j, side in enumerate(box) if side >= 2}
+        assert max(x[axis] + y for axis, x, y in triples if axis == 0) == box[0]
+
+    def test_negative_values_are_their_own_kind(self):
+        f = SubadditiveFn(1, lambda x: 1000.0 - x[0])
+        violations = check_subadditivity(f, (2000,))
+        assert violations and {v.kind for v in violations} == {"negative"}
+        assert all(v.x[0] > 1000 and v.lhs == 1000.0 - v.x[0] for v in violations)
+        assert [v.x for v in violations] == sorted(v.x for v in violations)
+
+    def test_sides_past_int64_are_refused(self):
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            check_subadditivity(TRIPLE_N, (1 << 63,))
+        assert check_subadditivity(TRIPLE_N, ((1 << 63) - 1,)) == []
+
+    def test_zero_samples_test_nothing(self):
+        assert subadditivity_triple_count((2000,)) > 10**6
+        assert check_subadditivity(SQUARE, (2000,), samples=0) == []
 
 
 class TestRunningInfimum:
