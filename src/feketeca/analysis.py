@@ -167,17 +167,11 @@ def lambda_estimate(
     if checked:
         violations = tuple(check_subadditivity_on_table(checked, multiplicative=True))
 
-    fn = SubadditiveFn(
-        ca.dimension,
-        lambda x: log_base(table[x], q),
-        name=f"log{q}(out[{ca.name or 'ca'}])",
-    )
+    logs = {x: log_base(out, q) for x, out in table.items()}
+    fn = SubadditiveFn(ca.dimension, logs.__getitem__, name=f"log{q}(out[{ca.name or 'ca'}])")
     computed = list(table)
-    top = computed[0]
-    for b in computed[1:]:
-        top = top.join(b)
-    base = top if top in table else max(computed)
-    est = fekete_limit_estimate(fn, base, computed)
+    # the product-order maximum when there is one, as it is lexicographically last
+    est = fekete_limit_estimate(fn, max(computed), computed)
     return LambdaEstimate(
         estimate=est,
         records=tuple(records),
@@ -388,10 +382,8 @@ class SurjectivityVerdict:
 
 
 def _boxes_by_volume(dim: int, max_side: int):
-    boxes = [
-        MultiIndex(c) for c in itertools.product(range(1, max_side + 1), repeat=dim)
-    ]
-    return sorted(boxes, key=lambda b: (b.volume, tuple(b)))
+    boxes = map(MultiIndex._trusted, itertools.product(range(1, max_side + 1), repeat=dim))
+    return sorted(boxes, key=lambda b: (b.volume, b))
 
 
 def surjectivity_report(

@@ -181,11 +181,13 @@ def minkowski_sum(E: RightPolytope, neighborhood: Iterable) -> Region:
     them would multiply input counts by q per unused cell.
     """
     offsets = [_as_offset(v, E.dim) for v in neighborhood]
-    cells = sorted(
-        {tuple(x + v for x, v in zip(cell, off)) for cell in E.cells() for off in offsets}
-    )
-    lo = tuple(min(c[i] for c in cells) for i in range(E.dim))
-    hi = tuple(max(c[i] for c in cells) for i in range(E.dim))
+    # the union of E shifted by each offset, each shift a product of ranges
+    shifted = [
+        [range(o + v, o + v + s) for o, v, s in zip(E.origin, off, E.sides)] for off in offsets
+    ]
+    cells = sorted(set().union(*(itertools.product(*ranges) for ranges in shifted)))
+    lo = tuple(min(r[0] for r in axis) for axis in zip(*shifted))
+    hi = tuple(max(r[-1] for r in axis) for axis in zip(*shifted))
     hull = RightPolytope(MultiIndex(h - l + 1 for l, h in zip(lo, hi)), lo)
     return Region(hull=hull, cells=tuple(cells))
 

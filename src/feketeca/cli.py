@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -30,6 +32,7 @@ from .counting import (
     out_size_transfer_1d,
     out_sizes,
     out_sizes_bruteforce,
+    _decimal,
 )
 from .subadditive import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -84,7 +87,7 @@ def parse_schedule(text: str, dim: int) -> list[MultiIndex]:
             raise DescriptionError(f"bad schedule {text!r}: bounds must be integers") from None
         if not 1 <= lo <= hi:
             raise DescriptionError(f"bad schedule {text!r}: need 1 <= LO <= HI")
-        return [MultiIndex((k,) * dim) for k in range(lo, hi + 1)]
+        return [MultiIndex._trusted((k,) * dim) for k in range(lo, hi + 1)]
     schedule = [parse_sides(tok, dim) for tok in text.split(",") if tok.strip()]
     if not schedule:
         raise DescriptionError(f"bad schedule {text!r}: no sides given")
@@ -105,7 +108,7 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
             data = json.load(fh)
     except FileNotFoundError:
         raise DescriptionError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise DescriptionError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DescriptionError("top level must be an object")
@@ -201,12 +204,7 @@ def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex]:
     n = args.max_sides
     if n < 1:
         raise DescriptionError(f"--max-sides must be >= 1, got {n}")
-    if ca.dimension == 1:
-        return [MultiIndex((k,)) for k in range(1, n + 1)]
-    return [
-        MultiIndex(c)
-        for c in itertools.product(range(1, n + 1), repeat=ca.dimension)
-    ]
+    return list(map(MultiIndex._trusted, itertools.product(range(1, n + 1), repeat=ca.dimension)))
 
 
 def cmd_out_table(args) -> int:
@@ -234,17 +232,15 @@ def cmd_out_table(args) -> int:
         )
         for sides, rec in zip(sides_list, records):
             if isinstance(rec, BudgetExceeded):
-                writer.writerow(
-                    [str(s) for s in sides]
-                    + ["", "", "", "", f"refused: cost {rec.cost} exceeds budget {args.budget}"]
-                )
+                status = f"refused: cost {_decimal(rec.cost)} exceeds budget {args.budget}"
+                writer.writerow([str(s) for s in sides] + ["", "", "", "", status])
                 continue
             rec_loss = loss(ca, rec)
             writer.writerow(
                 [str(s) for s in sides]
                 + [
-                    str(rec.out_size),
-                    str(rec.full_size),
+                    _decimal(rec.out_size),
+                    _decimal(rec.full_size),
                     _fmt12(rec_loss.ratio),
                     _fmt12(rec_loss.lambda_qits),
                     "ok",
@@ -315,11 +311,9 @@ def cmd_lambda(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])
-        for rec in est.records:
-            rec_loss = loss(ca, rec)
-            writer.writerow(
-                [str(s) for s in rec.sides] + [str(rec.out_size), _fmt12(rec_loss.ratio)]
-            )
+        # the Fekete engine's ratios are log_q(out)/volume per record, in order
+        for rec, ratio in zip(est.records, est.estimate.ratios):
+            writer.writerow([str(s) for s in rec.sides] + [_decimal(rec.out_size), _fmt12(ratio)])
     finally:
         if close:
             out.close()
@@ -342,7 +336,7 @@ def load_fekete_table(path: str) -> SubadditiveFn:
             data = json.load(fh)
     except FileNotFoundError:
         raise DescriptionError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise DescriptionError(f"not valid JSON: {exc}") from None
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, dict) or not values:
@@ -350,9 +344,15 @@ def load_fekete_table(path: str) -> SubadditiveFn:
     table = {}
     for key, val in values.items():
         idx = parse_sides(key)
-        if not isinstance(val, (int, float)):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise DescriptionError(f"key 'values': entry {key!r} is not a number")
-        table[idx] = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # an int past the float range
+            val = math.inf
+        if not math.isfinite(val):  # json reads NaN and Infinity
+            raise DescriptionError(f"key 'values': entry {key!r} is not finite")
+        table[idx] = val
     return SubadditiveFn.from_table(table, name=path)
 
 
@@ -381,12 +381,13 @@ def cmd_fekete(args) -> int:
                 )
         if base not in f.table:
             raise DescriptionError(f"base {args.base} is not a key of the table")
-        violations = check_subadditivity_on_table(f)
+        try:
+            violations = check_subadditivity_on_table(f)
+        except ValueError as exc:
+            raise DescriptionError(str(exc)) from None
         scope = f"table ({len(f.table)} entries)"
     else:
-        box = schedule[0]
-        for b in schedule[1:]:
-            box = box.join(b)
+        box = MultiIndex._trusted(map(max, zip(*schedule)))
         count = subadditivity_triple_count(box)
         try:
             violations = check_subadditivity(
@@ -448,19 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--method", choices=("auto", "brute", "transfer"), default="auto")
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_out_table)
 
     p = sub.add_parser("decide", help="surjectivity verdict (exit 0/10/20)")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("lambda", help="per-cell limit bracket plus ratio CSV")
     p.add_argument("file")
     p.add_argument("--schedule", help="diag:1..N or explicit sides list")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("fekete", help="standalone subadditive-limit engine")
     p.add_argument("--function", help="builtin: " + ", ".join(sorted(_FEKETE_BUILTINS)))
@@ -468,16 +466,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--base", help="base box for the certified upper bound")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fekete)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` builds on its first call and reuses after: it
+    depends on nothing but this module."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a wrapper installed over a cmd_* name is used
+    commands = {
+        "out-table": cmd_out_table,
+        "decide": cmd_decide,
+        "lambda": cmd_lambda,
+        "fekete": cmd_fekete,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except DescriptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

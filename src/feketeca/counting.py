@@ -69,6 +69,17 @@ _CHUNK = 1 << 20
 _SHORT_GROUP = 16
 
 
+def _decimal(n: int) -> str:
+    """Exact decimal digits of an int of any length.  `str` refuses ints
+    past the interpreter's digit limit; `Decimal` converts without one."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # imported on first use: rarely needed
+
+        return str(Decimal(n))
+
+
 class BudgetExceeded(Exception):
     """Raised instead of returning a partial answer; carries the exact cost."""
 
@@ -117,7 +128,7 @@ def _enumeration_cells(
     cost = q**L
     if cost > budget:
         raise BudgetExceeded(
-            f"enumeration needs {cost} input patterns ({q}^{L}), budget is {budget}",
+            f"enumeration needs {_decimal(cost)} input patterns ({q}^{L}), budget is {budget}",
             cost=cost,
         )
     if q**E.volume > 1 << 62:
@@ -128,18 +139,19 @@ def _enumeration_cells(
 
 
 def _image_bitmap(
-    ca: CellularAutomaton, sides: MultiIndex, budget: int, origin=None
+    ca: CellularAutomaton, E: RightPolytope, cells: tuple
 ) -> tuple[np.ndarray, str]:
     """Bitmap over the q^volume output codes: True iff the pattern is reachable.
 
-    Enumerates every assignment of the exact E+N cells.  The leading cells
-    are fixed per chunk; each remaining cell is its own broadcast axis, so
-    an output cell's rule index spans only the axes it reads, and the
-    partial output code spans only the axes read so far.  Free cell k sits
-    on axis free-1-k: the cells read so far are then the trailing axes,
-    which numpy merges into one contiguous inner loop of q^(cells read).
+    Enumerates every assignment of the exact E+N cells, which
+    `_enumeration_cells` returns with the box E once the budget allows.
+    The leading cells are fixed per chunk; each remaining cell is its own
+    broadcast axis, so an output cell's rule index spans only the axes it
+    reads, and the partial output code spans only the axes read so far.
+    Free cell k sits on axis free-1-k: the cells read so far are then the
+    trailing axes, which numpy merges into one contiguous inner loop of
+    q^(cells read).
     """
-    E, cells = _enumeration_cells(ca, sides, budget, origin)
     q = ca.state_count
     L = len(cells)
     free = 0
@@ -225,10 +237,11 @@ def out_sizes_bruteforce(
     boxes = [as_index(s, ca.dimension) for s in sides_list]
     results: list[OutRecord | BudgetExceeded | None] = [None] * len(boxes)
     groups: dict[int, list[int]] = {}  # container -> the boxes read off it
+    enumerated = {}  # container -> its box and E+N cells from the budget check
     # a box's strict supersets have larger volume, so they come first
     for i in sorted(range(len(boxes)), key=lambda i: -boxes[i].volume):
         try:
-            _enumeration_cells(ca, boxes[i], budget, origin)
+            found = _enumeration_cells(ca, boxes[i], budget, origin)
         except BudgetExceeded as exc:
             # kept without its traceback, whose frame would hold `results`
             # and so the refusal itself, a cycle only the garbage collector
@@ -236,21 +249,25 @@ def out_sizes_bruteforce(
             results[i] = exc.with_traceback(None)
             continue
         home = next((c for c in groups if leq_pi(boxes[i], boxes[c])), i)
+        if home == i:
+            enumerated[i] = found
         groups.setdefault(home, []).append(i)
     for c, members in groups.items():
-        records = _read_group(ca, boxes[c], [boxes[i] for i in members], budget, origin)
+        records = _read_group(ca, *enumerated[c], [boxes[i] for i in members])
         for i, rec in zip(members, records):
             results[i] = rec
     return results
 
 
 def _read_group(
-    ca: CellularAutomaton, container: MultiIndex, boxes: list[MultiIndex], budget: int, origin
+    ca: CellularAutomaton, E: RightPolytope, cells: tuple, boxes: list[MultiIndex]
 ) -> list[OutRecord]:
-    """Records of boxes inside `container` from one enumeration of it; its
-    bitmap is freed on return, before the next container is enumerated."""
+    """Records of boxes inside the container E, whose E+N cells are given,
+    from one enumeration of it; its bitmap is freed on return, before the
+    next container is enumerated."""
     q = ca.state_count
-    seen, detail = _image_bitmap(ca, container, budget, origin)
+    container = E.sides
+    seen, detail = _image_bitmap(ca, E, cells)
     source = "from=" + "x".join(map(str, container))
     last, last_seen = container, seen
     records = []
@@ -291,11 +308,12 @@ def find_orphan(
     bound as `out_size_bruteforce`.
     """
     sides = as_index(sides, ca.dimension)
-    seen, _ = _image_bitmap(ca, sides, budget, origin)
+    E, cells = _enumeration_cells(ca, sides, budget, origin)
+    seen, _ = _image_bitmap(ca, E, cells)
     if seen.all():
         return None
     missing = int(seen.argmin())
-    pattern = Pattern.from_code(RightPolytope(sides, origin), missing, ca.state_count)
+    pattern = Pattern.from_code(E, missing, ca.state_count)
     return OrphanCertificate(sides=sides, pattern=pattern)
 
 
@@ -403,7 +421,7 @@ def out_size_transfer_1d(
             )
         records.append(
             OutRecord(
-                sides=MultiIndex((n,)),
+                sides=MultiIndex._trusted((n,)),
                 out_size=int(counts.sum()),
                 full_size=q**n,
                 method="transfer1d",

@@ -70,6 +70,11 @@ class MultiIndex(tuple):
             raise ValueError(f"coordinates must be >= 1, got {vals}")
         return super().__new__(cls, vals)
 
+    @classmethod
+    def _trusted(cls, coords: Iterable[int]) -> "MultiIndex":
+        """An index from ints the caller knows are >= 1: not re-validated."""
+        return tuple.__new__(cls, coords)
+
     @property
     def dim(self) -> int:
         return len(self)
@@ -279,12 +284,12 @@ def check_subadditivity(
     total[rows, axis] += y
     coords, inv = _unique_rows(np.concatenate([x, other, total]))
 
-    def point(i: int) -> MultiIndex:  # in range by construction: not re-validated
-        return tuple.__new__(MultiIndex, coords[i].tolist())
+    def point(i: int) -> MultiIndex:  # in range by construction
+        return MultiIndex._trusted(coords[i].tolist())
 
     # f runs once per distinct point, with one point object alive at a time
     vals = np.fromiter(
-        (f.fn(tuple.__new__(MultiIndex, c)) for c in zip(*coords.T.tolist())),
+        (f.fn(MultiIndex._trusted(c)) for c in zip(*coords.T.tolist())),
         dtype=np.float64,
         count=len(coords),
     )
@@ -324,7 +329,7 @@ def check_subadditivity_on_table(
     `_PAIR_BLOCK` (x, total) pairs, so working memory is bounded by the
     block and never by the spread of the coordinates: a key at 10**9
     costs no more than one at 10.  Violations come in table order of x,
-    then axis, then y.
+    then axis, then y.  A coordinate of 2^63 or more raises ValueError.
     """
     if multiplicative:
         table = _index_table(values, operator.index)
@@ -335,7 +340,11 @@ def check_subadditivity_on_table(
         table = values.table if isinstance(values, SubadditiveFn) else _index_table(values, float)
         vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
     keys = list(table)
-    coords = np.array(keys, dtype=np.int64)
+    try:
+        coords = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        big = tuple(next(k for k in keys if max(k) >= 1 << 63))
+        raise ValueError(f"the table check needs coordinates below 2^63, got {big}") from None
     violations = [
         Violation("negative", -1, keys[i], 0, vals[i].item(), 0.0)
         for i in np.flatnonzero(vals < 0)
@@ -401,54 +410,31 @@ class FeketeEstimate:
         return (min(self.tail_slope, self.running_inf), self.running_inf)
 
 
-def _dedupe(boxes: Sequence[MultiIndex]) -> list[MultiIndex]:
-    seen = set()
-    out = []
-    for b in boxes:
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-    return out
-
-
 def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     """Evaluate f over a schedule of boxes and track the infimum of ratios.
 
     `last_ratio` is taken at the schedule's product-order maximum; when the
     schedule has none (its coordinatewise join is absent), the
     lexicographically last box is used instead and `has_pi_maximum` is
-    False.  Function values are memoized for the duration of the call.
+    False.  f is evaluated once per distinct box.
     """
-    boxes = _dedupe([as_index(b, f.dim) for b in schedule])
+    boxes = list(dict.fromkeys(as_index(b, f.dim) for b in schedule))
     if not boxes:
         raise ValueError("schedule must be nonempty")
 
-    memo: dict[MultiIndex, float] = {}
-
-    def ev(pt: MultiIndex) -> float:
-        val = memo.get(pt)
-        if val is None:
-            val = f(pt)
-            memo[pt] = val
-        return val
-
-    ratios = tuple(ev(b) / b.volume for b in boxes)
+    values = dict(zip(boxes, map(f, boxes)))
+    ratios = tuple(values[b] / b.volume for b in boxes)
     running_inf = min(ratios)
 
-    top = boxes[0]
-    for b in boxes[1:]:
-        top = top.join(b)
-    if top in memo:
-        last, has_max = top, True
-    else:
-        last, has_max = max(boxes), False
-    last_ratio = ev(last) / last.volume
+    last = max(boxes)  # the product-order maximum, when there is one
+    has_max = last == tuple(map(max, zip(*boxes)))
+    last_ratio = values[last] / last.volume
 
-    below = [b for b in boxes if b != last and leq_pi(b, last)]
+    below = [b for b in boxes if b != last and all(map(operator.le, b, last))]
     if below:
-        prev = max(below, key=lambda b: (b.volume, tuple(b)))
+        prev = max(below, key=lambda b: (b.volume, b))
         gap = last.volume - prev.volume
-        tail_slope = (ev(last) - ev(prev)) / gap if gap > 0 else last_ratio
+        tail_slope = (values[last] - values[prev]) / gap if gap > 0 else last_ratio
     else:
         tail_slope = last_ratio
 

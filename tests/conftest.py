@@ -66,9 +66,9 @@ def enumerations(monkeypatch):
     calls = []
     real = counting._image_bitmap
 
-    def counted(ca, sides, *args, **kwargs):
-        calls.append(tuple(sides))
-        return real(ca, sides, *args, **kwargs)
+    def counted(ca, E, cells):
+        calls.append(tuple(E.sides))
+        return real(ca, E, cells)
 
     monkeypatch.setattr(counting, "_image_bitmap", counted)
     return calls

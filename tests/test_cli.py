@@ -1,13 +1,15 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import feketeca
-from feketeca import cli, counting, out_size_transfer_1d
+from feketeca import cli, counting, lambda_estimate, loss, make_builtin, out_size_transfer_1d
 from feketeca.cli import (
     EXIT_NONSURJECTIVE,
     EXIT_OK,
@@ -321,6 +323,19 @@ class TestLambda:
         assert cli.main(["lambda", path, "--schedule", schedule]) == EXIT_OK
         assert f"\nWARNING: {count} log-subadditivity violations\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, schedule", [("and1d", "diag:1..300"), ("and2d", "3x3,1x2,2x1,2x2,1x1,3x1,1x3")]
+    )
+    def test_ratio_column_is_the_loss_ratio(self, describe, capsys, name, schedule):
+        path = describe(name, {"rule": {"builtin": name}})
+        assert cli.main(["lambda", path, "--schedule", schedule]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.split("out_size,ratio\n")[1].splitlines()))
+        ca = make_builtin(name)
+        records = lambda_estimate(ca, parse_schedule(schedule, ca.dimension)).records
+        assert len(rows) == len(records) > 1
+        for row, rec in zip(rows, records):
+            assert row == [*map(str, rec.sides), str(rec.out_size), cli._fmt12(loss(ca, rec).ratio)]
+
     def test_deterministic(self, describe, capsys):
         path = describe("and", {"rule": {"builtin": "and1d"}})
         cli.main(["lambda", path, "--schedule", "diag:1..100"])
@@ -377,6 +392,41 @@ class TestFekete:
         assert rc == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: base 5 is not a key of the table\n")
 
+    def test_table_key_past_int64_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"values": {"1": 3, str(1 << 63): 6}}))
+        rc = cli.main(["fekete", "--table", str(path), "--schedule", "1"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: the table check needs coordinates below 2^63, got ({1 << 63},)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("NaN", "is not finite"),
+            ("Infinity", "is not finite"),
+            ("-Infinity", "is not finite"),
+            ("1" + "0" * 400, "is not finite"),
+            ("true", "is not a number"),
+            ("false", "is not a number"),
+        ],
+        ids=["nan", "inf", "-inf", "int-past-float", "true", "false"],
+    )
+    def test_table_value_must_be_a_finite_number(self, tmp_path, capsys, value, problem):
+        path = tmp_path / "table.json"
+        path.write_text('{"values": {"1": 3, "2": %s, "3": 9}}' % value)
+        rc = cli.main(["fekete", "--table", str(path), "--schedule", "1,2,3"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: key 'values': entry '2' {problem}\n")
+
+    def test_int_past_the_digit_limit_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text('{"values": {"1": 1%s}}' % ("0" * 5000))
+        rc = cli.main(["fekete", "--table", str(path), "--schedule", "1"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_function_xor_table_exclusive(self, capsys):
         rc = cli.main(["fekete", "--schedule", "diag:1..5"])
         assert rc == EXIT_USAGE
@@ -392,6 +442,103 @@ class TestFekete:
         rc = cli.main(["fekete", "--function", "3n", "--schedule", str(1 << 63)])
         assert rc == EXIT_USAGE
         assert "sampling needs box sides below 2^63" in capsys.readouterr().err
+
+
+class TestLongCounts:
+    """Counts past the interpreter's int-to-str digit limit (4300 digits
+    by default, where the interpreter has one)."""
+
+    @staticmethod
+    def _digit_limit():
+        get = getattr(sys, "get_int_max_str_digits", None)
+        return get() if get else None
+
+    def test_out_table_prints_every_digit(self, describe, capsys):
+        path = describe("xor", {"rule": {"builtin": "xor1d"}})
+        limit = self._digit_limit()
+        argv = ["out-table", path, "--method", "transfer", "--sides-list", "15000"]
+        assert cli.main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        row = out.splitlines()[1].split(",")
+        assert row[0] == "15000" and row[-1] == "ok"
+        assert Decimal(row[1]) == Decimal(row[2]) == 2**15000
+        assert self._digit_limit() == limit
+
+    def test_lambda_prints_every_digit(self, describe, capsys):
+        path = describe("xor", {"rule": {"builtin": "xor1d"}})
+        limit = self._digit_limit()
+        assert cli.main(["lambda", path, "--schedule", "diag:14990..15000"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [row.split(",") for row in out.split("x1,out_size,ratio\n")[1].splitlines()]
+        assert [(int(n), Decimal(count), ratio) for n, count, ratio in rows] == [
+            (n, 2**n, "1") for n in range(14990, 15001)
+        ]
+        assert self._digit_limit() == limit
+
+    def test_refused_cost_prints_every_digit(self, describe, capsys):
+        # and2d on 150x150 reads 150*152 input cells: 2^22800 inputs
+        path = describe("and2d", {"rule": {"builtin": "and2d"}})
+        assert cli.main(["out-table", path, "--sides-list", "150x150"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == f"150,150,,,,,refused: cost {Decimal(2**22800)} exceeds budget {1 << 30}"
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    def test_built_once_and_build_parser_is_fresh(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()  # as in a fresh process
+        for _ in range(3):
+            assert cli.main(["fekete", "--function", "3n", "--schedule", "3"]) == EXIT_OK
+        assert len(built) == 1
+        assert real() is not real()
+
+    def test_argparse_error_then_a_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["out-table"])
+        assert exc.value.code == EXIT_USAGE
+        assert "required" in capsys.readouterr().err
+        assert cli.main(["fekete", "--function", "3n", "--schedule", "diag:1..5"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "running infimum: 3\n" in out and err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["out-table", "{and2d}", "--sides-list", "1x1,2x2,3x3,4x4", "--budget", "100000"],
+            ["out-table", "{and1d}", "--max-sides", "8", "--method", "brute"],
+            ["out-table", "{and1d}", "--sides-list", ","],
+            ["decide", "{and1d}"],
+            ["decide", "{and2d}", "--budget", "1000"],
+            ["lambda", "{and2d}", "--schedule", "2x2,1x3,3x1"],
+            ["lambda", "{and1d}", "--schedule", "diag:0..3"],
+            ["fekete", "--function", "n^2", "--schedule", "diag:1..10"],
+            ["fekete", "--function", "xy+x+y", "--schedule", "diag:1..20", "--base", "4x5"],
+        ],
+    )
+    def test_every_subcommand_twice(self, describe, capsys, argv):
+        paths = {f"{{{n}}}": describe(n, {"rule": {"builtin": n}}) for n in ("and1d", "and2d")}
+        argv = [paths.get(a, a) for a in argv]
+        runs = []
+        for _ in range(2):
+            rc = cli.main(argv)
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] or runs[0][2]
+
+    def test_command_is_looked_up_per_call(self, describe, capsys, monkeypatch):
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        argv = ["lambda", path, "--schedule", "diag:1..5"]
+        assert cli.main(argv) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_lambda", lambda args: seen.append(args.schedule) or 7)
+        assert cli.main(argv) == 7
+        assert seen == ["diag:1..5"]
 
 
 def _console_script(*argv, stdout):

@@ -133,11 +133,12 @@ class TestBatch:
 
         monkeypatch.setattr(counting, "_any_middle", spy)
         top = MultiIndex((2, 3, 2))
-        seen, _ = counting._image_bitmap(ca, top, 1 << 30)
+        seen, _ = counting._image_bitmap(ca, *counting._enumeration_cells(ca, top, 1 << 30))
         counts = {}
         for sub in [(1, 3, 2), (2, 2, 2), (2, 3, 1), (1, 2, 2), (2, 1, 1)]:
             got = counting._restrict(seen, top, MultiIndex(sub), 2)
-            want, _ = counting._image_bitmap(ca, MultiIndex(sub), 1 << 30)
+            found = counting._enumeration_cells(ca, MultiIndex(sub), 1 << 30)
+            want, _ = counting._image_bitmap(ca, *found)
             assert np.array_equal(got, want)
             counts[sub] = int(np.count_nonzero(got))
         assert counts[(1, 3, 2)] == oracles.AND2D_OUT[(3, 2)]

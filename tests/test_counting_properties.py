@@ -88,10 +88,11 @@ def test_bruteforce_is_translation_invariant(case):
 @given(rule_and_size())
 def test_chunking_does_not_change_the_bitmap(case):
     ca, n, origin = case
-    whole, _ = counting._image_bitmap(ca, (n,), counting.DEFAULT_BUDGET, origin)
+    E, cells = counting._enumeration_cells(ca, (n,), counting.DEFAULT_BUDGET, origin)
+    whole, _ = counting._image_bitmap(ca, E, cells)
     # one enumerated cell per chunk: every other cell is fixed by the chunk
     with mock.patch.object(counting, "_CHUNK", ca.state_count):
-        chunked, _ = counting._image_bitmap(ca, (n,), counting.DEFAULT_BUDGET, origin)
+        chunked, _ = counting._image_bitmap(ca, E, cells)
     assert np.array_equal(whole, chunked)
 
 
@@ -158,7 +159,8 @@ def test_batch_equals_single_box_enumeration(small_chunks, case):
     want = []
     for sides in boxes:
         try:
-            seen, _ = counting._image_bitmap(ca, sides, budget, origin)
+            E, cells = counting._enumeration_cells(ca, sides, budget, origin)
+            seen, _ = counting._image_bitmap(ca, E, cells)
             want.append(int(np.count_nonzero(seen)))
         except counting.BudgetExceeded as exc:
             want.append(exc)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feketeca import (
+    FeketeEstimate,
     MultiIndex,
     SubadditiveFn,
     Violation,
@@ -398,3 +400,74 @@ class TestFeketeLimitEstimate:
         lo, hi = est.bracket
         assert 1.0 <= lo <= 1.0 + 2e-3
         assert abs(hi - 1.002) < 1e-12
+
+
+def _running_infimum_reference(f, schedule):
+    """`running_infimum` as a MultiIndex `join` loop and `leq_pi` scan, for
+    the property below."""
+    boxes = []
+    for b in schedule:
+        b = MultiIndex(b)
+        if b not in boxes:
+            boxes.append(b)
+    memo = {}
+
+    def ev(pt):
+        if pt not in memo:
+            memo[pt] = f(pt)
+        return memo[pt]
+
+    ratios = tuple(ev(b) / b.volume for b in boxes)
+    top = boxes[0]
+    for b in boxes[1:]:
+        top = top.join(b)
+    if top in memo:
+        last, has_max = top, True
+    else:
+        last, has_max = max(boxes), False
+    last_ratio = ev(last) / last.volume
+    below = [b for b in boxes if b != last and leq_pi(b, last)]
+    if below:
+        prev = max(below, key=lambda b: (b.volume, tuple(b)))
+        gap = last.volume - prev.volume
+        tail_slope = (ev(last) - ev(prev)) / gap if gap > 0 else last_ratio
+    else:
+        tail_slope = last_ratio
+    return FeketeEstimate(tuple(boxes), ratios, min(ratios), last_ratio, has_max, tail_slope)
+
+
+@st.composite
+def schedule_and_values(draw):
+    """A 1-3D schedule of small boxes, so duplicates, incomparable pairs,
+    volume ties and schedules without a product-order maximum are common,
+    and a value per box (a function of its coordinates elsewhere)."""
+    dim = draw(st.integers(1, 3))
+    box = st.tuples(*[st.integers(1, 4)] * dim)
+    schedule = draw(st.lists(box, min_size=1, max_size=12))
+    base = draw(st.one_of(st.sampled_from(schedule), box))
+    values = draw(st.dictionaries(box, st.floats(0.0, 50.0), max_size=20))
+    return schedule, base, values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(schedule_and_values())
+def test_fekete_engine_matches_reference(case):
+    schedule, base, values = case
+    dim = len(base)
+    calls = []
+
+    def fn(x):
+        calls.append(tuple(x))
+        return values.get(tuple(x), 0.5 * sum(x) + math.prod(x) % 3)
+
+    f = SubadditiveFn(dim, fn)
+    got = running_infimum(f, schedule)
+    got_calls, calls[:] = calls[:], []
+    want = _running_infimum_reference(f, schedule)
+    assert got == want
+    assert got_calls == calls  # f once per distinct box, in schedule order
+    base = MultiIndex(base)
+    est = fekete_limit_estimate(f, base, schedule)
+    ref = _running_infimum_reference(f, list(schedule) + [base])
+    assert est == replace(ref, base=base, base_ratio=f(base) / base.volume)
+    assert (type(est.evaluated_boxes[0]), type(est.base)) == (MultiIndex, MultiIndex)
