@@ -8,8 +8,8 @@ from feketeca import (
     find_orphan,
     loss,
     make_builtin,
-    out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
 )
 
 and1d = make_builtin("and1d")   # q=2, neighbourhood (0, +1), f(a,b) = a*b
@@ -22,7 +22,7 @@ and1d = make_builtin("and1d")   # q=2, neighbourhood (0, +1), f(a,b) = a*b
 print("n  brute  transfer  full   loss(q-its)")
 transfer = out_size_transfer_1d(and1d, 12)
 for n in range(1, 13):
-    brute = out_size_bruteforce(and1d, n)
+    (brute,) = out_sizes_bruteforce(and1d, [n])
     rec = transfer[n - 1]
     assert brute.out_size == rec.out_size
     lam = loss(and1d, rec).lambda_qits
@@ -65,8 +65,8 @@ print("digits in Out(2000):", len(str(big[-1].out_size)))
 print()
 and2d = make_builtin("and2d")
 print("sides  out  full")
-for sides in [(1, 1), (2, 2), (2, 3), (3, 3)]:
-    rec = out_size_bruteforce(and2d, sides)
+boxes = [(1, 1), (2, 2), (2, 3), (3, 3)]
+for sides, rec in zip(boxes, out_sizes_bruteforce(and2d, boxes)):  # one enumeration, of 3x3
     mark = "  <- deficient" if rec.out_size < rec.full_size else ""
     print(f"{sides}  {rec.out_size:4d} {rec.full_size:5d}{mark}")
 cert = find_orphan(and2d, (2, 3))

@@ -25,13 +25,15 @@ for name in ("shift", "xor1d", "and1d", "and2d"):
     print(line)
 
 ####
-# 2. the exact 1D decision returns the lexicographically least shortest
-#    orphan word; for AND that is 101
+# 2. the exact 1D decision returns None for a surjective rule, else a
+#    certificate holding the lexicographically least shortest orphan
+#    word; for AND that is 101
 ####
 
 print()
-decision = decide_surjectivity_1d(make_builtin("and1d"))
-print("and1d surjective?", decision.surjective, " orphan word:", decision.orphan_word)
+print("xor1d certificate:", decide_surjectivity_1d(make_builtin("xor1d")))
+cert = decide_surjectivity_1d(make_builtin("and1d"))
+print("and1d orphan word:", cert.pattern.cells, " code:", cert.pattern.code(2))
 
 ####
 # 3. a 2D rule with no orphan in reach: the scan clears sizes until the
@@ -57,5 +59,5 @@ maj = CellularAutomaton(
     tuple(int(a + b + c >= 2) for a in (0, 1) for b in (0, 1) for c in (0, 1)),
     name="majority3",
 )
-decision = decide_surjectivity_1d(maj)
-print("majority3 surjective?", decision.surjective, " orphan word:", decision.orphan_word)
+cert = decide_surjectivity_1d(maj)
+print("majority3 orphan word:", cert.pattern.cells)

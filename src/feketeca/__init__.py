@@ -23,7 +23,6 @@ from .ca import (
     BUILTIN_NAMES,
     CellularAutomaton,
     Pattern,
-    Region,
     RightPolytope,
     decode_states,
     encode_states,
@@ -34,12 +33,10 @@ from .ca import (
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    Decision1D,
     OrphanCertificate,
     OutRecord,
     decide_surjectivity_1d,
     find_orphan,
-    out_size_bruteforce,
     out_size_transfer_1d,
     out_sizes,
     out_sizes_bruteforce,
@@ -67,12 +64,12 @@ __all__ = [
     "FeketeEstimate", "subadditivity_triple_count", "check_subadditivity",
     "check_subadditivity_on_table", "running_infimum", "decomposition_bound",
     "fekete_limit_estimate", "diagonal_schedule", "geometric_schedule",
-    "CellularAutomaton", "RightPolytope", "Pattern", "Region",
+    "CellularAutomaton", "RightPolytope", "Pattern",
     "encode_states", "decode_states", "minkowski_sum",
     "induced_map", "make_builtin", "BUILTIN_NAMES",
     "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OrphanCertificate",
-    "Decision1D", "out_size_bruteforce", "out_sizes_bruteforce", "out_size_transfer_1d",
-    "out_sizes", "find_orphan", "decide_surjectivity_1d",
+    "out_sizes_bruteforce", "out_size_transfer_1d", "out_sizes", "find_orphan",
+    "decide_surjectivity_1d",
     "LossRecord", "LambdaEstimate", "ThresholdReport", "VerdictStatus",
     "SurjectivityVerdict", "log_base", "loss", "lambda_estimate",
     "boundary_excess", "minimal_upward_threshold", "excess_ratio_threshold",

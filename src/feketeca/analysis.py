@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .ca import CellularAutomaton, Pattern, RightPolytope, minkowski_sum
+from .ca import CellularAutomaton, RightPolytope, minkowski_sum
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -310,7 +310,7 @@ def theorem2_threshold(
         raise BudgetExceeded("no cell of the search box fits the budget")
 
     if ca.dimension == 1:
-        if decide_surjectivity_1d(ca).surjective:
+        if decide_surjectivity_1d(ca) is None:
             raise ValueError(
                 "automaton is surjective: the loss bound only holds on the "
                 "nonsurjective branch of the dichotomy"
@@ -391,31 +391,28 @@ def surjectivity_report(
 ) -> SurjectivityVerdict:
     """Verdict per the decidability split.
 
-    Dimension 1: the subset decision, exact; its orphan word becomes the
-    certificate.  Dimension >= 2: scan box sizes in volume order looking
-    for an orphan, spending at most `budget` enumerated inputs in total;
+    Dimension 1: the exact subset decision and its certificate.
+    Dimension >= 2: scan box sizes in volume order looking for an
+    orphan, spending at most `budget` enumerated inputs in total;
     surjectivity is never claimed, so exhausting the budget yields
     UNKNOWN with the cleared sizes.
     """
     if ca.dimension == 1:
         try:
-            decision = decide_surjectivity_1d(ca)
+            cert = decide_surjectivity_1d(ca)
         except BudgetExceeded as exc:
             return SurjectivityVerdict(
                 status=VerdictStatus.UNKNOWN, note=f"decision refused: {exc}"
             )
-        if decision.surjective:
+        if cert is None:
             return SurjectivityVerdict(status=VerdictStatus.PROVED_SURJECTIVE)
-        word = decision.orphan_word
-        sides = MultiIndex((len(word),))
-        cert = OrphanCertificate(sides=sides, pattern=Pattern(RightPolytope(sides), word))
         return SurjectivityVerdict(status=VerdictStatus.NONSURJECTIVE, certificate=cert)
 
     remaining = budget
     cleared: list[MultiIndex] = []
     for sides in _boxes_by_volume(ca.dimension, _SCAN_MAX_SIDE):
-        region = minkowski_sum(RightPolytope(sides), ca.neighborhood)
-        cost = ca.state_count ** len(region.cells)
+        cells = minkowski_sum(RightPolytope(sides), ca.neighborhood)
+        cost = ca.state_count ** len(cells)
         if cost > remaining:
             return SurjectivityVerdict(
                 status=VerdictStatus.UNKNOWN,

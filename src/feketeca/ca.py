@@ -10,6 +10,7 @@ the exact cells of E+N wherever they lie.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,7 +20,6 @@ __all__ = [
     "CellularAutomaton",
     "RightPolytope",
     "Pattern",
-    "Region",
     "encode_states",
     "decode_states",
     "minkowski_sum",
@@ -46,10 +46,19 @@ def decode_states(code: int, length: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints: a float is refused, not truncated."""
+    values = tuple(values)
+    for i, v in enumerate(values):
+        if not hasattr(type(v), "__index__"):
+            raise ValueError(f"{what} entry {i} is {v!r}, not an integer")
+    return tuple(map(operator.index, values))
+
+
 def _as_offset(vec, dim: int) -> Cell:
-    if isinstance(vec, int):
+    if not hasattr(vec, "__iter__"):
         vec = (vec,)
-    off = tuple(int(v) for v in vec)
+    off = _integers(vec, "offset")
     if len(off) != dim:
         raise ValueError(f"offset {off} does not have dimension {dim}")
     return off
@@ -82,7 +91,7 @@ class CellularAutomaton:
             raise ValueError("neighborhood must be nonempty")
         if len(set(offsets)) != len(offsets):
             raise ValueError("neighborhood offsets must be pairwise distinct")
-        table = tuple(int(v) for v in self.rule_table)
+        table = _integers(self.rule_table, "rule table")
         if len(table) != q ** len(offsets):
             raise ValueError(
                 f"rule table must have q^n = {q ** len(offsets)} entries, got {len(table)}"
@@ -165,31 +174,19 @@ class Pattern:
         return [self.cells[i: i + width] for i in range(0, len(self.cells), width)]
 
 
-@dataclass(frozen=True)
-class Region:
-    """Exact cell set of a Minkowski sum together with its tight bounding box."""
+def minkowski_sum(E: RightPolytope, neighborhood: Iterable) -> tuple[Cell, ...]:
+    """Exact cell set {x + v : x in E, v in N}, sorted.
 
-    hull: RightPolytope
-    cells: tuple[Cell, ...]
-
-
-def minkowski_sum(E: RightPolytope, neighborhood: Iterable) -> Region:
-    """Exact cell set {x + v : x in E, v in N} plus its tight hull.
-
-    The set is kept exact rather than padded to the hull: gaps in the
-    neighbourhood leave cells of the hull untouched, and enumerating over
-    them would multiply input counts by q per unused cell.
+    The set is kept exact rather than padded to its bounding box: gaps in
+    the neighbourhood leave cells of the box untouched, and enumerating
+    over them would multiply input counts by q per unused cell.
     """
     offsets = [_as_offset(v, E.dim) for v in neighborhood]
     # the union of E shifted by each offset, each shift a product of ranges
     shifted = [
         [range(o + v, o + v + s) for o, v, s in zip(E.origin, off, E.sides)] for off in offsets
     ]
-    cells = sorted(set().union(*(itertools.product(*ranges) for ranges in shifted)))
-    lo = tuple(min(r[0] for r in axis) for axis in zip(*shifted))
-    hi = tuple(max(r[-1] for r in axis) for axis in zip(*shifted))
-    hull = RightPolytope(MultiIndex(h - l + 1 for l, h in zip(lo, hi)), lo)
-    return Region(hull=hull, cells=tuple(cells))
+    return tuple(sorted(set().union(*(itertools.product(*ranges) for ranges in shifted))))
 
 
 def induced_map(ca: CellularAutomaton, E: RightPolytope, inputs) -> Pattern:
@@ -198,10 +195,9 @@ def induced_map(ca: CellularAutomaton, E: RightPolytope, inputs) -> Pattern:
     `inputs` assigns a state to exactly the cells of E+N; a Pattern is
     accepted when its support's cell set matches the exact Minkowski sum.
     """
-    region = minkowski_sum(E, ca.neighborhood)
     if isinstance(inputs, Pattern):
         inputs = inputs.as_map()
-    if set(inputs) != set(region.cells):
+    if set(inputs) != set(minkowski_sum(E, ca.neighborhood)):
         raise ValueError("input support must be exactly the cell set of E+N")
     q = ca.state_count
     if any(not 0 <= s < q for s in inputs.values()):
@@ -213,12 +209,8 @@ def induced_map(ca: CellularAutomaton, E: RightPolytope, inputs) -> Pattern:
     return Pattern(E, tuple(out))
 
 
-def _identity_table(q: int) -> tuple[int, ...]:
-    return tuple(range(q))
-
-
 _BUILTINS = {
-    "shift": lambda: CellularAutomaton(1, 2, ((1,),), _identity_table(2), name="shift"),
+    "shift": lambda: CellularAutomaton(1, 2, ((1,),), (0, 1), name="shift"),
     "and1d": lambda: CellularAutomaton(1, 2, ((0,), (1,)), (0, 0, 0, 1), name="and1d"),
     "xor1d": lambda: CellularAutomaton(1, 2, ((0,), (1,)), (0, 1, 1, 0), name="xor1d"),
     "and2d": lambda: CellularAutomaton(

@@ -24,7 +24,7 @@ from .analysis import (
     loss,
     surjectivity_report,
 )
-from .ca import BUILTIN_NAMES, CellularAutomaton, make_builtin
+from .ca import CellularAutomaton, make_builtin
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -94,6 +94,21 @@ def parse_schedule(text: str, dim: int) -> list[MultiIndex]:
     return schedule
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DescriptionError(f"no such file: {path}") from None
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise DescriptionError(f"not valid JSON: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: json reads true/false as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
     """Parse a JSON automaton description.
 
@@ -103,13 +118,7 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
     are mapped to 0..q-1 in list order; the mapping is returned so the
     caller can report it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise DescriptionError(f"no such file: {path}") from None
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise DescriptionError(f"not valid JSON: {exc}") from None
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise DescriptionError("top level must be an object")
 
@@ -117,6 +126,10 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
     for key in data:
         if key not in known:
             raise DescriptionError(f"unknown key {key!r}")
+    if not isinstance(data.get("name", ""), str):
+        raise DescriptionError("key 'name': must be a string")
+    if "dimension" in data and not (_is_int(data["dimension"]) and data["dimension"] >= 1):
+        raise DescriptionError("key 'dimension': must be a positive integer")
 
     rule = data.get("rule")
     if rule is None:
@@ -133,7 +146,7 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
             raise DescriptionError(
                 f"key 'dimension': builtin {ca.name!r} has dimension {ca.dimension}"
             )
-        if "states" in data and data["states"] != ca.state_count:
+        if "states" in data and (not _is_int(data["states"]) or data["states"] != ca.state_count):
             raise DescriptionError(
                 f"key 'states': builtin {ca.name!r} has {ca.state_count} states"
             )
@@ -143,12 +156,10 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
         if key not in data:
             raise DescriptionError(f"key {key!r} is required with a rule table")
     dim = data["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise DescriptionError("key 'dimension': must be a positive integer")
 
     states = data["states"]
     labels = None
-    if isinstance(states, int):
+    if _is_int(states):
         q = states
     elif isinstance(states, list):
         if len(set(map(str, states))) != len(states):
@@ -165,9 +176,9 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
         raise DescriptionError("key 'neighborhood': must be a nonempty list")
     offsets = []
     for vec in nbhd:
-        if isinstance(vec, int):
+        if _is_int(vec):
             vec = [vec]
-        if not isinstance(vec, list) or len(vec) != dim or not all(isinstance(v, int) for v in vec):
+        if not isinstance(vec, list) or len(vec) != dim or not all(map(_is_int, vec)):
             raise DescriptionError(
                 f"key 'neighborhood': offset {vec!r} is not a {dim}-vector of integers"
             )
@@ -181,6 +192,9 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
             table = [labels[str(v)] for v in table]
         except KeyError as exc:
             raise DescriptionError(f"key 'rule': table entry {exc} is not a declared label") from None
+    bad = [v for v in table if not _is_int(v)]
+    if bad:
+        raise DescriptionError(f"key 'rule': table entry {json.dumps(bad[0])} is not an integer")
     try:
         ca = CellularAutomaton(dim, q, tuple(offsets), tuple(table), name=data.get("name", ""))
     except ValueError as exc:
@@ -331,20 +345,14 @@ _FEKETE_BUILTINS = {
 
 def load_fekete_table(path: str) -> SubadditiveFn:
     """JSON table {"values": {"3": 5, "2x4": 7, ...}} with 'x'-separated keys."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise DescriptionError(f"no such file: {path}") from None
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise DescriptionError(f"not valid JSON: {exc}") from None
+    data = _read_json(path)
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, dict) or not values:
         raise DescriptionError("key 'values' must be a nonempty object")
     table = {}
     for key, val in values.items():
         idx = parse_sides(key)
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        if not (_is_int(val) or isinstance(val, float)):
             raise DescriptionError(f"key 'values': entry {key!r} is not a number")
         try:
             val = float(val)
@@ -488,10 +496,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except DescriptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
+    except (DescriptionError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

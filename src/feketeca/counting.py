@@ -51,8 +51,6 @@ __all__ = [
     "BudgetExceeded",
     "OutRecord",
     "OrphanCertificate",
-    "Decision1D",
-    "out_size_bruteforce",
     "out_sizes_bruteforce",
     "out_size_transfer_1d",
     "out_sizes",
@@ -111,18 +109,12 @@ class OrphanCertificate:
     pattern: Pattern
 
 
-@dataclass(frozen=True)
-class Decision1D:
-    surjective: bool
-    orphan_word: tuple[int, ...] | None
-
-
 def _enumeration_cells(
     ca: CellularAutomaton, sides: MultiIndex, budget: int, origin=None
 ) -> tuple[RightPolytope, tuple]:
     """(box, exact E+N cells) when enumerating the box fits; else refuse."""
     E = RightPolytope(sides, origin)
-    cells = minkowski_sum(E, ca.neighborhood).cells
+    cells = minkowski_sum(E, ca.neighborhood)
     q = ca.state_count
     L = len(cells)
     cost = q**L
@@ -288,24 +280,13 @@ def _read_group(
     return records
 
 
-def out_size_bruteforce(
-    ca: CellularAutomaton, sides, budget: int = DEFAULT_BUDGET, origin=None
-) -> OutRecord:
-    """Exact output size by full enumeration; refuses (no partial answer)
-    when the input count q^|E+N| exceeds the budget."""
-    (rec,) = out_sizes_bruteforce(ca, [sides], budget, origin)
-    if isinstance(rec, BudgetExceeded):
-        raise rec
-    return rec
-
-
 def find_orphan(
     ca: CellularAutomaton, sides, budget: int = DEFAULT_BUDGET, origin=None
 ) -> OrphanCertificate | None:
     """Canonical-code-minimal unreachable pattern at this size, if any.
 
-    None means the induced map is surjective at this size.  Same cost
-    bound as `out_size_bruteforce`.
+    None means the induced map is surjective at this size.  Refuses like
+    `out_sizes_bruteforce`, when q^|E+N| exceeds the budget.
     """
     sides = as_index(sides, ca.dimension)
     E, cells = _enumeration_cells(ca, sides, budget, origin)
@@ -455,13 +436,14 @@ def out_sizes(
 
 def decide_surjectivity_1d(
     ca: CellularAutomaton, max_subsets: int = 1 << 20
-) -> Decision1D:
+) -> OrphanCertificate | None:
     """Decide surjectivity of a 1D automaton; always terminates.
 
-    Walks the subset DFA from the full set in id order, which is
-    breadth-first order: an orphan word exists iff the empty subset is
-    reachable.  Labels are tried in ascending order, so the word read
-    back through `parent` to the first empty step is the
+    None means surjective; otherwise the certificate holds an orphan word
+    at the origin.  Walks the subset DFA from the full set in id order,
+    which is breadth-first order: an orphan word exists iff the empty
+    subset is reachable.  Labels are tried in ascending order, so the
+    word read back through `parent` to the first empty step is the
     lexicographically least orphan word of minimal length.  Refuses once
     more than max_subsets subsets have been reached.
     """
@@ -476,11 +458,12 @@ def decide_surjectivity_1d(
                 while dfa.parent[i] >= 0:
                     i, back = divmod(dfa.parent[i], dfa.q)
                     word.append(back)
-                return Decision1D(surjective=False, orphan_word=tuple(reversed(word)))
+                sides = MultiIndex._trusted((len(word),))
+                return OrphanCertificate(sides, Pattern(RightPolytope(sides), word[::-1]))
             if len(dfa.masks) > max_subsets:
                 raise BudgetExceeded(
                     f"subset search visited {len(dfa.masks)} subsets, cap is {max_subsets}",
                     cost=len(dfa.masks),
                 )
         i += 1
-    return Decision1D(surjective=True, orphan_word=None)
+    return None

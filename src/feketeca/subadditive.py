@@ -56,8 +56,8 @@ class MultiIndex(tuple):
     """A d-tuple of positive integers: a box size, or a lattice point.
 
     Under the product order (see `leq_pi`) these form a directed set: any
-    two indices of equal dimension have `join` as a common upper bound,
-    even though for d >= 2 many pairs are incomparable.
+    two indices of equal dimension have their coordinatewise maximum as a
+    common upper bound, even though for d >= 2 many pairs are incomparable.
     """
 
     __slots__ = ()
@@ -83,22 +83,12 @@ class MultiIndex(tuple):
     def volume(self) -> int:
         return math.prod(self)
 
-    def join(self, other: "MultiIndex") -> "MultiIndex":
-        other = as_index(other, self.dim)
-        return MultiIndex(max(a, b) for a, b in zip(self, other))
-
-    def replace_coord(self, axis: int, value: int) -> "MultiIndex":
-        return MultiIndex(self[:axis] + (value,) + self[axis + 1:])
-
 
 def as_index(value, dim: int | None = None) -> MultiIndex:
     """Coerce an int (dimension 1) or any iterable of ints to a MultiIndex."""
-    if isinstance(value, MultiIndex):
-        idx = value
-    elif isinstance(value, (int,)):
-        idx = MultiIndex((value,))
-    else:
-        idx = MultiIndex(value)
+    idx = value
+    if not isinstance(idx, MultiIndex):
+        idx = MultiIndex((value,) if isinstance(value, int) else value)
     if dim is not None and idx.dim != dim:
         raise ValueError(f"expected dimension {dim}, got {tuple(idx)}")
     return idx
@@ -414,7 +404,7 @@ def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     """Evaluate f over a schedule of boxes and track the infimum of ratios.
 
     `last_ratio` is taken at the schedule's product-order maximum; when the
-    schedule has none (its coordinatewise join is absent), the
+    schedule has none (its coordinatewise maximum is absent), the
     lexicographically last box is used instead and `has_pi_maximum` is
     False.  f is evaluated once per distinct box.
     """

@@ -21,8 +21,8 @@ from feketeca import (
     find_orphan,
     lambda_estimate,
     loss,
-    out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
     running_infimum,
     surjectivity_report,
     theorem2_threshold,
@@ -57,7 +57,7 @@ def test_criterion_1_and_counts(and1d):
     with _Timer(1, 1.0, "AND-automaton counts 2,4,7,12,21,37 by both routes"):
         expected = [oracles.and1d_out_size(n) for n in range(1, 7)]
         assert expected == [2, 4, 7, 12, 21, 37]
-        brute = [out_size_bruteforce(and1d, n).out_size for n in range(1, 7)]
+        brute = [out_sizes_bruteforce(and1d, [n])[0].out_size for n in range(1, 7)]
         transfer = [r.out_size for r in out_size_transfer_1d(and1d, 6)]
         assert brute == expected
         assert transfer == expected
@@ -68,14 +68,14 @@ def test_criterion_2_textbook_examples(shift, and1d):
         verdict = surjectivity_report(shift)
         assert verdict.status is VerdictStatus.PROVED_SURJECTIVE
         for n in range(1, 11):
-            assert loss(shift, out_size_bruteforce(shift, n)).lambda_qits == 0.0
+            assert loss(shift, out_sizes_bruteforce(shift, [n])[0]).lambda_qits == 0.0
 
         verdict = surjectivity_report(and1d)
         assert verdict.status is VerdictStatus.NONSURJECTIVE
         word = verdict.certificate.pattern.cells
         assert word == (1, 0, 1)
         assert tuple(word) not in oracles.and1d_images(3)  # sound by re-enumeration
-        assert decide_surjectivity_1d(and1d).orphan_word == (1, 0, 1)
+        assert decide_surjectivity_1d(and1d) == verdict.certificate
 
 
 def test_criterion_3_log_subadditivity_suite():
@@ -94,7 +94,7 @@ def test_criterion_4_multidimensional_counting(and2d):
     with _Timer(4, 300.0, "and2d exact table, loss >= 0, subadditive, shift-invariant"):
         table = {}
         for sides, expected in oracles.AND2D_OUT.items():
-            rec = out_size_bruteforce(and2d, sides, budget=1 << 30)
+            (rec,) = out_sizes_bruteforce(and2d, [sides], budget=1 << 30)
             assert rec.out_size == expected
             table[sides] = rec
             assert loss(and2d, rec).lambda_qits >= 0.0
@@ -111,7 +111,8 @@ def test_criterion_4_multidimensional_counting(and2d):
         base = out[(2, 3)]
         for _ in range(20):
             origin = (rng.randint(-40, 40), rng.randint(-40, 40))
-            assert out_size_bruteforce(and2d, (2, 3), origin=origin).out_size == base
+            (rec,) = out_sizes_bruteforce(and2d, [(2, 3)], origin=origin)
+            assert rec.out_size == base
 
 
 def test_criterion_5_lambda_bracket(and1d):
@@ -166,6 +167,6 @@ def test_criterion_8_cross_method_and_balance(xor1d):
         for ca in elementary_rules() + random_rule_corpus(count=100, seed=0):
             transfer = out_size_transfer_1d(ca, 12)
             for n in range(1, 13):
-                if transfer[n - 1].out_size != out_size_bruteforce(ca, n).out_size:
+                if transfer[n - 1].out_size != out_sizes_bruteforce(ca, [n])[0].out_size:
                     mismatches += 1
         assert mismatches == 0

@@ -16,8 +16,8 @@ from feketeca import (
     log_base,
     loss,
     minimal_upward_threshold,
-    out_size_bruteforce,
     out_size_transfer_1d,
+    out_sizes_bruteforce,
     surjectivity_report,
     theorem2_threshold,
 )
@@ -33,19 +33,19 @@ class TestLoss:
 
     def test_shift_loss_is_zero(self, shift):
         for n in range(1, 11):
-            rec = out_size_bruteforce(shift, n)
+            (rec,) = out_sizes_bruteforce(shift, [n])
             assert loss(shift, rec).lambda_qits == 0.0
 
     def test_and1d_examples(self, and1d):
-        rec3 = out_size_bruteforce(and1d, 3)
+        (rec3,) = out_sizes_bruteforce(and1d, [3])
         l3 = loss(and1d, rec3)
         assert abs(l3.lambda_qits - (3 - math.log2(7))) < 1e-12
-        rec1 = out_size_bruteforce(and1d, 1)
+        (rec1,) = out_sizes_bruteforce(and1d, [1])
         assert loss(and1d, rec1).lambda_qits == 0.0  # zero loss despite nonsurjectivity
 
     def test_ratio_identity(self, and1d, and2d):
-        records = [out_size_bruteforce(and1d, n) for n in range(1, 9)]
-        records += [out_size_bruteforce(and2d, s) for s in oracles.AND2D_OUT]
+        records = [out_sizes_bruteforce(and1d, [n])[0] for n in range(1, 9)]
+        records += [out_sizes_bruteforce(and2d, [s])[0] for s in oracles.AND2D_OUT]
         for ca, recs in ((and1d, records[:8]), (and2d, records[8:])):
             for rec in recs:
                 l = loss(ca, rec)
@@ -243,7 +243,7 @@ class TestVerdicts:
         assert v.status is VerdictStatus.NONSURJECTIVE
         assert v.certificate.sides == (2, 3)
         # soundness: that size really is deficient
-        assert out_size_bruteforce(and2d, (2, 3)).out_size < 2**6
+        assert out_sizes_bruteforce(and2d, [(2, 3)])[0].out_size < 2**6
         assert find_orphan(and2d, (2, 3)).pattern == v.certificate.pattern
 
     def test_and2d_small_budget_unknown_with_frontier(self, and2d):
@@ -261,8 +261,8 @@ class TestVerdicts:
     def test_dichotomy_consistency(self, shift, and1d):
         # surjective: zero loss everywhere checked; nonsurjective: some loss > 0
         for n in range(1, 9):
-            assert loss(shift, out_size_bruteforce(shift, n)).lambda_qits == 0.0
+            assert loss(shift, out_sizes_bruteforce(shift, [n])[0]).lambda_qits == 0.0
         losses = [
-            loss(and1d, out_size_bruteforce(and1d, n)).lambda_qits for n in range(1, 9)
+            loss(and1d, out_sizes_bruteforce(and1d, [n])[0]).lambda_qits for n in range(1, 9)
         ]
         assert any(l > 0 for l in losses)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from feketeca import (
@@ -36,30 +37,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CellularAutomaton(2, 2, ((0,),), (0, 1))  # offset dim mismatch
 
+    def test_non_integers_are_refused_not_truncated(self):
+        with pytest.raises(ValueError, match=r"^rule table entry 3 is 1\.5, not an integer$"):
+            CellularAutomaton(1, 2, ((0,), (1,)), (0, 0, 0, 1.5))
+        with pytest.raises(ValueError, match=r"^offset entry 0 is 0\.7, not an integer$"):
+            CellularAutomaton(1, 2, (0, 0.7), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match=r"^offset entry 1 is 1\.0, not an integer$"):
+            CellularAutomaton(2, 2, ((0, 0), (0, 1.0)), (0, 0, 0, 1))
+        # anything with __index__ is an integer, as for MultiIndex
+        ca = CellularAutomaton(1, 2, (np.int64(0), (np.int8(1),)), np.array([0, 0, 0, 1]))
+        assert ca.neighborhood == ((0,), (1,)) and ca.rule_table == (0, 0, 0, 1)
+        assert all(type(v) is int for v in ca.rule_table)
+
 
 class TestSupports:
     def test_minkowski_interval(self):
-        region = minkowski_sum(RightPolytope(MultiIndex((3,))), [(0,), (1,)])
-        assert region.cells == ((0,), (1,), (2,), (3,))
-        assert region.hull.sides == (4,)
+        cells = minkowski_sum(RightPolytope(MultiIndex((3,))), [(0,), (1,)])
+        assert cells == ((0,), (1,), (2,), (3,))
 
     def test_minkowski_2d_exact_set(self):
         E = RightPolytope(MultiIndex((2, 2)))
-        region = minkowski_sum(E, [(0, 0), (1, 0), (0, 1)])
+        cells = minkowski_sum(E, [(0, 0), (1, 0), (0, 1)])
         expected = {(x, y) for x in range(3) for y in range(2)} | {(0, 2), (1, 2)}
-        assert set(region.cells) == expected
-        assert len(region.cells) == 8
-        assert region.hull.sides == (3, 3)  # tight hull, set stays exact
+        assert cells == tuple(sorted(expected))  # exact, not the 3x3 bounding box
 
     def test_minkowski_identity_offset(self):
         E = RightPolytope(MultiIndex((4, 2)), (3, -1))
-        region = minkowski_sum(E, [(0, 0)])
-        assert set(region.cells) == set(E.cells())
+        assert minkowski_sum(E, [(0, 0)]) == tuple(E.cells())
 
     def test_minkowski_with_gap(self):
-        region = minkowski_sum(RightPolytope(MultiIndex((1,))), [(0,), (2,)])
-        assert region.cells == ((0,), (2,))  # hull cell 1 is absent
-        assert region.hull.sides == (3,)
+        cells = minkowski_sum(RightPolytope(MultiIndex((1,))), [(0,), (2,)])
+        assert cells == ((0,), (2,))  # cell 1 of the bounding box is absent
 
 
 class TestPatternCodes:

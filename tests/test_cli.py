@@ -131,6 +131,38 @@ class TestDescriptionFiles:
             cli.load_description(path)
         assert fragment in str(info.value)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"rule": {"table": [0, 0.0, 0, 1.5]}}, "table entry 0.0 is not an integer"),
+            ({"rule": {"table": [0, 0, 0, True]}}, "table entry true is not an integer"),
+            ({"dimension": True}, "must be a positive integer"),
+            (
+                dict(dimension=True, states=None, neighborhood=None, rule={"builtin": "and1d"}),
+                "must be a positive integer",
+            ),
+            ({"states": True}, "must be an integer or a label list"),
+            (
+                dict(states=2.0, dimension=None, neighborhood=None, rule={"builtin": "and1d"}),
+                "builtin 'and1d' has 2 states",
+            ),
+            ({"neighborhood": [False, True]}, "offset False is not a 1-vector of integers"),
+            ({"neighborhood": [0, 0.7]}, "offset 0.7 is not a 1-vector of integers"),
+            ({"name": 5}, "must be a string"),
+        ],
+        ids=[
+            "float-table", "bool-table", "bool-dimension", "bool-dimension-builtin",
+            "bool-states", "float-states-builtin", "bool-offsets", "float-offset", "int-name",
+        ],
+    )
+    def test_non_integers_and_booleans_are_usage_errors(self, describe, capsys, payload, message):
+        doc = {"dimension": 1, "states": 2, "neighborhood": [0, 1], "rule": {"table": [0, 0, 0, 1]}}
+        doc.update(payload)
+        key = next(iter(payload))
+        path = describe("bad", {k: v for k, v in doc.items() if v is not None})
+        assert cli.main(["decide", path]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: key {key!r}: {message}\n")
+
     def test_parse_error_exit_code(self, describe, capsys):
         path = describe("bad", {"rule": {"builtin": "nope"}})
         assert cli.main(["decide", path]) == EXIT_USAGE

@@ -8,10 +8,10 @@ from feketeca import (
     BudgetExceeded,
     CellularAutomaton,
     MultiIndex,
+    RightPolytope,
     counting,
     decide_surjectivity_1d,
     find_orphan,
-    out_size_bruteforce,
     out_size_transfer_1d,
     out_sizes,
     out_sizes_bruteforce,
@@ -36,19 +36,19 @@ def _identity(dim, q):
 class TestBruteForce:
     def test_and1d_counts(self, and1d):
         for n in range(1, 9):
-            rec = out_size_bruteforce(and1d, n)
+            (rec,) = out_sizes_bruteforce(and1d, [n])
             assert rec.out_size == oracles.AND1D_OUT[n - 1]
             assert rec.full_size == 2**n
             assert rec.method == "bruteforce"
 
     def test_shift_is_full(self, shift):
         for n in range(1, 11):
-            rec = out_size_bruteforce(shift, n)
+            (rec,) = out_sizes_bruteforce(shift, [n])
             assert rec.out_size == rec.full_size == 2**n
 
     def test_and2d_table_matches_enumeration_oracle(self, and2d):
         for sides, expected in oracles.AND2D_OUT.items():
-            assert out_size_bruteforce(and2d, sides).out_size == expected
+            assert out_sizes_bruteforce(and2d, [sides])[0].out_size == expected
 
     def test_general_path_agrees_with_oracle_on_random_rules(self, corpus_1d):
         rng = random.Random(7)
@@ -57,7 +57,7 @@ class TestBruteForce:
                 sum(s * ca.state_count ** (len(args) - 1 - i) for i, s in enumerate(args))
             ]
             for n in (1, 2, 4):
-                got = out_size_bruteforce(ca, n).out_size
+                got = out_sizes_bruteforce(ca, [n])[0].out_size
                 want = oracles.enumeration_out_size(
                     1, ca.state_count, ca.neighborhood, rule, (n,)
                 )
@@ -65,7 +65,7 @@ class TestBruteForce:
 
     def test_bounds_hold(self, corpus_1d):
         for ca in corpus_1d[:30]:
-            rec = out_size_bruteforce(ca, 5)
+            (rec,) = out_sizes_bruteforce(ca, [5])
             assert 1 <= rec.out_size <= rec.full_size
 
     def test_translation_invariance(self, and1d, and2d):
@@ -76,11 +76,12 @@ class TestBruteForce:
             (_identity(1, 200), (1,)),
             (_identity(2, 130), (1, 1)),
         ]
-        bases = [out_size_bruteforce(ca, sides).out_size for ca, sides in cases]
+        bases = [out_sizes_bruteforce(ca, [sides])[0].out_size for ca, sides in cases]
         for _ in range(20):
             for (ca, sides), base in zip(cases, bases):
                 origin = tuple(rng.randint(-40, 40) for _ in sides)
-                assert out_size_bruteforce(ca, sides, origin=origin).out_size == base
+                (rec,) = out_sizes_bruteforce(ca, [sides], origin=origin)
+                assert rec.out_size == base
 
     def test_high_q_identity_is_full(self):
         # states >= 128 must not wrap anywhere in the enumeration
@@ -89,15 +90,16 @@ class TestBruteForce:
             (_identity(1, 200), (1,), (0,)),
             (_identity(2, 130), (1, 1), None),
         ):
-            rec = out_size_bruteforce(ca, sides, origin=origin)
+            (rec,) = out_sizes_bruteforce(ca, [sides], origin=origin)
             assert rec.out_size == rec.full_size == ca.state_count
             assert find_orphan(ca, sides, origin=origin) is None
 
     def test_budget_refusal_carries_exact_cost(self, and1d):
-        with pytest.raises(BudgetExceeded) as info:
-            out_size_bruteforce(and1d, 40, budget=1 << 20)
-        assert info.value.cost == 2**41
+        (rec,) = out_sizes_bruteforce(and1d, [40], budget=1 << 20)
         # refusal, not a partial answer: nothing usable comes back
+        assert isinstance(rec, BudgetExceeded)
+        assert rec.cost == 2**41
+        assert str(rec) == f"enumeration needs {2**41} input patterns (2^41), budget is {1 << 20}"
 
 
 class TestBatch:
@@ -116,10 +118,9 @@ class TestBatch:
         assert isinstance(recs[5], BudgetExceeded) and recs[5].cost == 2**35
 
     def test_refusal_matches_the_single_box_call(self, and1d):
-        (rec,) = out_sizes_bruteforce(and1d, [40], budget=1 << 20)
-        with pytest.raises(BudgetExceeded) as info:
-            out_size_bruteforce(and1d, 40, budget=1 << 20)
-        assert (str(rec), rec.cost) == (str(info.value), info.value.cost)
+        _, rec = out_sizes_bruteforce(and1d, [3, 40], budget=1 << 20)
+        (alone,) = out_sizes_bruteforce(and1d, [40], budget=1 << 20)
+        assert (str(rec), rec.cost) == (str(alone), alone.cost)
 
     def test_restriction_reshapes_have_three_axes(self, monkeypatch):
         # and2d on each x-slice: a 1x3x2 slab loses patterns, as and2d's 3x2
@@ -171,7 +172,7 @@ class TestTransfer1D:
         for ca in (gap, three, negative):
             recs = out_size_transfer_1d(ca, 8)
             for n in range(1, 9):
-                assert recs[n - 1].out_size == out_size_bruteforce(ca, n).out_size
+                assert recs[n - 1].out_size == out_sizes_bruteforce(ca, [n])[0].out_size
 
     def test_counts_are_exact_big_integers(self, xor1d):
         recs = out_size_transfer_1d(xor1d, 300)
@@ -234,12 +235,11 @@ class TestOrphans:
             tuple(int(a + b + c >= 2) for a in (0, 1) for b in (0, 1) for c in (0, 1)),
             name="majority3",
         )
-        dec = decide_surjectivity_1d(maj)
-        assert not dec.surjective
-        n = len(dec.orphan_word)
+        word = decide_surjectivity_1d(maj).pattern.cells
+        n = len(word)
         rule = lambda args: int(sum(args) >= 2)
         images = oracles.enumeration_images(1, 2, maj.neighborhood, rule, (n,))
-        assert dec.orphan_word not in images
+        assert word not in images
         # shortest: every shorter length is fully covered
         for k in range(1, n):
             assert len(oracles.enumeration_images(1, 2, maj.neighborhood, rule, (k,))) == 2**k
@@ -257,39 +257,42 @@ class TestOrphans:
 
 class TestDecision1D:
     def test_and1d_shortest_orphan_word(self, and1d):
-        dec = decide_surjectivity_1d(and1d)
-        assert not dec.surjective
-        assert dec.orphan_word == (1, 0, 1)
+        cert = decide_surjectivity_1d(and1d)
+        assert cert.sides == (3,)
+        assert cert.pattern.support == RightPolytope((3,))
+        assert cert.pattern.cells == (1, 0, 1)
+        # the same certificate as the brute-force orphan search at that length
+        assert cert == find_orphan(and1d, 3)
 
     def test_surjective_rules(self, shift, xor1d):
-        assert decide_surjectivity_1d(shift).surjective
-        assert decide_surjectivity_1d(xor1d).surjective
+        assert decide_surjectivity_1d(shift) is None
+        assert decide_surjectivity_1d(xor1d) is None
 
     def test_agrees_with_counts_on_corpus(self, corpus_1d):
         for ca in corpus_1d[:40]:
-            dec = decide_surjectivity_1d(ca)
+            cert = decide_surjectivity_1d(ca)
             out = {r.sides[0]: r for r in out_size_transfer_1d(ca, 8)}
-            if dec.surjective:
+            if cert is None:
                 assert all(out[n].out_size == out[n].full_size for n in out)
             else:
-                word = dec.orphan_word
+                word = cert.pattern.cells
                 if len(word) <= 8:
                     rec = out[len(word)]
                     assert rec.out_size < rec.full_size
 
     def test_orphan_word_verified_by_enumeration(self, corpus_1d):
         for ca in corpus_1d[:40]:
-            dec = decide_surjectivity_1d(ca)
-            if dec.surjective or len(dec.orphan_word) > 7:
+            cert = decide_surjectivity_1d(ca)
+            if cert is None or cert.sides[0] > 7:
                 continue
-            n = len(dec.orphan_word)
+            n = cert.sides[0]
             rule = lambda args: ca.rule_table[
                 sum(s * ca.state_count ** (len(args) - 1 - i) for i, s in enumerate(args))
             ]
             images = oracles.enumeration_images(
                 1, ca.state_count, ca.neighborhood, rule, (n,)
             )
-            assert dec.orphan_word not in images, ca.name
+            assert cert.pattern.cells not in images, ca.name
 
     def test_requires_dimension_one(self, and2d):
         with pytest.raises(ValueError):
@@ -304,7 +307,7 @@ class TestDecision1D:
             assert str(info.value) == f"subset search visited {cap + 1} subsets, cap is {cap}"
             assert info.value.cost == cap + 1
         # the empty subset is reached before a fourth subset is
-        assert decide_surjectivity_1d(and1d, max_subsets=3).orphan_word == (1, 0, 1)
+        assert decide_surjectivity_1d(and1d, max_subsets=3).pattern.cells == (1, 0, 1)
 
 
 class TestOutSizes:
@@ -318,13 +321,13 @@ class TestOutSizes:
     def test_bruteforce_in_2d(self, and2d):
         boxes = [(2, 2), (5, 5), (1, 1)]
         recs = out_sizes(and2d, boxes, budget=1 << 12)
-        assert recs[0] == out_size_bruteforce(and2d, (2, 2))
+        assert recs[0] == out_sizes_bruteforce(and2d, [(2, 2)])[0]
         assert isinstance(recs[1], BudgetExceeded)
         assert recs[2].out_size == 2
 
     def test_transfer_refusal_falls_back_to_bruteforce(self, and1d, refused_transfer):
         recs = out_sizes(and1d, [3, 40], budget=1024)
-        assert recs[0] == out_size_bruteforce(and1d, 3)
+        assert recs[0] == out_sizes_bruteforce(and1d, [3])[0]
         assert isinstance(recs[1], BudgetExceeded)
         assert recs[1].cost == 2**41
 
@@ -336,5 +339,5 @@ class TestCrossMethod:
             recs = out_size_transfer_1d(ca, 8)
             for n in range(1, 9):
                 assert (
-                    recs[n - 1].out_size == out_size_bruteforce(ca, n).out_size
+                    recs[n - 1].out_size == out_sizes_bruteforce(ca, [n])[0].out_size
                 ), ca.name

@@ -21,7 +21,6 @@ from feketeca import (
     find_orphan,
     induced_map,
     minkowski_sum,
-    out_size_bruteforce,
     out_size_transfer_1d,
     out_sizes_bruteforce,
 )
@@ -61,8 +60,7 @@ def rule_and_size(draw):
 
 def _input_count(ca, sides, origin=None):
     sides = (sides,) if isinstance(sides, int) else sides
-    cells = minkowski_sum(RightPolytope(sides, origin), ca.neighborhood).cells
-    return ca.state_count ** len(cells)
+    return ca.state_count ** len(minkowski_sum(RightPolytope(sides, origin), ca.neighborhood))
 
 
 @_settings
@@ -71,17 +69,16 @@ def test_bruteforce_equals_transfer(case):
     ca, n, _ = case
     recs = out_size_transfer_1d(ca, n)
     for k in range(1, n + 1):
-        assert out_size_bruteforce(ca, k).out_size == recs[k - 1].out_size
+        assert out_sizes_bruteforce(ca, [k])[0].out_size == recs[k - 1].out_size
 
 
 @_settings
 @given(rule_and_size())
 def test_bruteforce_is_translation_invariant(case):
     ca, n, origin = case
-    assert (
-        out_size_bruteforce(ca, n, origin=origin).out_size
-        == out_size_bruteforce(ca, n).out_size
-    )
+    (moved,) = out_sizes_bruteforce(ca, [n], origin=origin)
+    (rec,) = out_sizes_bruteforce(ca, [n])
+    assert moved.out_size == rec.out_size
 
 
 @_settings
@@ -101,13 +98,13 @@ def test_chunking_does_not_change_the_bitmap(case):
 def test_orphan_certificate_has_no_preimage(case):
     ca, n, origin = case
     cert = find_orphan(ca, n, origin=origin)
-    rec = out_size_bruteforce(ca, n, origin=origin)
+    (rec,) = out_sizes_bruteforce(ca, [n], origin=origin)
     assert (cert is None) == (rec.out_size == rec.full_size)
     if cert is None or _input_count(ca, n, origin) > _PREIMAGE_CAP:
         return
     E = cert.pattern.support
     assert E == RightPolytope((n,), origin)
-    cells = minkowski_sum(E, ca.neighborhood).cells
+    cells = minkowski_sum(E, ca.neighborhood)
     for states in itertools.product(range(ca.state_count), repeat=len(cells)):
         assert induced_map(ca, E, dict(zip(cells, states))) != cert.pattern
 
@@ -197,16 +194,16 @@ def rule_1d(draw):
 @given(rule_1d())
 def test_decision_agrees_with_orphan_search(ca):
     try:
-        dec = decide_surjectivity_1d(ca, max_subsets=_DECIDE_SUBSETS)
+        cert = decide_surjectivity_1d(ca, max_subsets=_DECIDE_SUBSETS)
     except counting.BudgetExceeded:
         return  # some wide rules have subset DFAs too large to walk here
     reach = 0  # longest length brute force re-checks
     while _input_count(ca, reach + 1) <= _DECIDE_CAP:
         reach += 1
-    word = dec.orphan_word or ()
+    word = cert.pattern.cells if cert else ()
     shortest = len(word) if word else reach + 1
     # no orphan is shorter than the decision's word, and none exists if surjective
     assert all(find_orphan(ca, k) is None for k in range(1, min(shortest, reach + 1)))
     if word and len(word) <= reach:
         # the lexicographically least shortest word is the code-minimal orphan
-        assert find_orphan(ca, len(word)).pattern.cells == word
+        assert find_orphan(ca, len(word)) == cert

@@ -56,15 +56,6 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             leq_pi((1, 2), (1, 2, 3))
 
-    def test_directedness_join_is_upper_bound(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            d = rng.randint(1, 4)
-            x = MultiIndex(rng.randint(1, 50) for _ in range(d))
-            y = MultiIndex(rng.randint(1, 50) for _ in range(d))
-            z = x.join(y)
-            assert leq_pi(x, z) and leq_pi(y, z)
-
 
 class TestCheckSubadditivity:
     def test_additive_has_no_violations(self):
@@ -112,8 +103,8 @@ def _table_check_reference(values):
     for x in table:
         for axis in range(x.dim):
             for y in range(1, axis_max[axis] - x[axis] + 1):
-                other = x.replace_coord(axis, y)
-                total = x.replace_coord(axis, x[axis] + y)
+                other = MultiIndex(x[:axis] + (y,) + x[axis + 1:])
+                total = MultiIndex(x[:axis] + (x[axis] + y,) + x[axis + 1:])
                 if other in table and total in table:
                     lhs, rhs = table[total], table[x] + table[other]
                     if lhs > rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs)):
@@ -177,8 +168,8 @@ def _product_check_reference(values):
     for x in table:
         for axis in range(x.dim):
             for y in range(1, axis_max[axis] - x[axis] + 1):
-                other = x.replace_coord(axis, y)
-                total = x.replace_coord(axis, x[axis] + y)
+                other = MultiIndex(x[:axis] + (y,) + x[axis + 1:])
+                total = MultiIndex(x[:axis] + (x[axis] + y,) + x[axis + 1:])
                 if other in table and total in table:
                     lhs, rhs = table[total], table[x] * table[other]
                     if lhs > rhs:
@@ -264,9 +255,9 @@ class TestSampledCheck:
             if v.kind == "negative":
                 assert v.lhs == self.BUMPY(v.x) < 0
                 continue
-            total = v.x.replace_coord(v.axis, v.x[v.axis] + v.y)
-            assert v.lhs == self.BUMPY(total)
-            assert v.rhs == self.BUMPY(v.x) + self.BUMPY(v.x.replace_coord(v.axis, v.y))
+            x, a = v.x, v.axis
+            assert v.lhs == self.BUMPY(x[:a] + (x[a] + v.y,) + x[a + 1:])
+            assert v.rhs == self.BUMPY(x) + self.BUMPY(x[:a] + (v.y,) + x[a + 1:])
             assert v.lhs > v.rhs
 
     def test_sampled_result_is_an_ordered_sublist_of_the_exhaustive_one(self):
@@ -403,8 +394,8 @@ class TestFeketeLimitEstimate:
 
 
 def _running_infimum_reference(f, schedule):
-    """`running_infimum` as a MultiIndex `join` loop and `leq_pi` scan, for
-    the property below."""
+    """`running_infimum` as a coordinatewise-maximum loop and `leq_pi` scan,
+    for the property below."""
     boxes = []
     for b in schedule:
         b = MultiIndex(b)
@@ -420,7 +411,7 @@ def _running_infimum_reference(f, schedule):
     ratios = tuple(ev(b) / b.volume for b in boxes)
     top = boxes[0]
     for b in boxes[1:]:
-        top = top.join(b)
+        top = MultiIndex(map(max, top, b))
     if top in memo:
         last, has_max = top, True
     else:
