@@ -14,12 +14,11 @@ UNKNOWN (with the cleared frontier).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .ca import CellularAutomaton, RightPolytope, minkowski_sum
+from .ca import CellularAutomaton, RightPolytope, _integers, minkowski_sum
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -34,6 +33,7 @@ from .subadditive import (
     MultiIndex,
     SubadditiveFn,
     Violation,
+    _grid,
     as_index,
     check_subadditivity_on_table,
     fekete_limit_estimate,
@@ -104,16 +104,20 @@ class LambdaEstimate:
     """Bracketed estimate of the per-cell limit of log_q(output size).
 
     The limit is at most 1, with equality exactly for surjective
-    automata; the bracket is clamped to [0, 1] accordingly.  `partial`
-    marks estimates where some scheduled boxes were refused for budget.
+    automata; the bracket is clamped to [0, 1] accordingly.  `notes`
+    names each scheduled box refused for budget.
     """
 
     estimate: FeketeEstimate
     records: tuple[OutRecord, ...]
     q: int
-    partial: bool = False
     notes: tuple[str, ...] = ()
     subadditivity_violations: tuple[Violation, ...] = ()
+
+    @property
+    def partial(self) -> bool:
+        """True when some scheduled box was refused for budget."""
+        return bool(self.notes)
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -124,6 +128,21 @@ class LambdaEstimate:
     def excludes_surjective(self) -> bool:
         """True when the certified upper end already rules out limit 1."""
         return self.bracket[1] < 1.0 - 1e-12
+
+
+def _counted(
+    ca: CellularAutomaton, boxes: list[MultiIndex], budget: int
+) -> tuple[list[OutRecord], list[str]]:
+    """The records `out_sizes` counts on the boxes, in order, and a note
+    for each box it refused for budget."""
+    records: list[OutRecord] = []
+    notes: list[str] = []
+    for b, rec in zip(boxes, out_sizes(ca, boxes, budget)):
+        if isinstance(rec, BudgetExceeded):
+            notes.append(f"skipped {tuple(b)}: {rec}")
+        else:
+            records.append(rec)
+    return records, notes
 
 
 def lambda_estimate(
@@ -148,13 +167,7 @@ def lambda_estimate(
         raise ValueError("schedule must be nonempty")
     q = ca.state_count
 
-    records: list[OutRecord] = []
-    notes: list[str] = []
-    for b, rec in zip(boxes, out_sizes(ca, boxes, budget)):
-        if isinstance(rec, BudgetExceeded):
-            notes.append(f"skipped {tuple(b)}: {rec}")
-        else:
-            records.append(rec)
+    records, notes = _counted(ca, boxes, budget)
     if not records:
         raise BudgetExceeded("no scheduled box fits the budget")
 
@@ -176,7 +189,6 @@ def lambda_estimate(
         estimate=est,
         records=tuple(records),
         q=q,
-        partial=bool(notes),
         notes=tuple(notes),
         subadditivity_violations=violations,
     )
@@ -192,49 +204,30 @@ def boundary_excess(x, r) -> int:
     return math.prod(xi + ri for xi, ri in zip(x, r)) - x.volume
 
 
-def minimal_upward_threshold(predicate, search_box):
+def minimal_upward_threshold(predicate, search_box) -> MultiIndex | None:
     """Least box t such that the predicate holds at every x >= t in the box.
 
-    Returns (t, ok) where ok maps each cell of the search box to whether
-    all cells above it (itself included) satisfy the predicate; t is None
-    when no cell qualifies.  The qualifying set is upward closed, so its
-    minimal elements form an antichain; ties are broken lexicographically.
-    `predicate` may return None for cells it cannot evaluate; those count
-    as vacuously fine but cannot serve as t themselves.
+    A cell qualifies when the predicate is True there and not False at
+    any cell above it in the box; None answers count as vacuously fine
+    but cannot qualify themselves.  The qualifying set is upward closed,
+    so its minimal elements form an antichain; the lexicographically
+    least qualifying cell is returned, and it is minimal, since every
+    cell below it in the product order is lexicographically smaller.
+    Returns None when no cell qualifies.
     """
     box = as_index(search_box)
-    ranges = [range(1, s + 1) for s in box]
-    cells = list(itertools.product(*ranges))
-    ok: dict[tuple, bool] = {}
-    known: dict[tuple, bool | None] = {}
-    for cell in reversed(cells):
-        verdict = predicate(MultiIndex(cell))
-        known[cell] = verdict
-        good = verdict is not False
-        for axis in range(box.dim):
-            if cell[axis] < box[axis]:
-                up = cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]
-                good = good and ok[up]
-                if not good:
-                    break
-        ok[cell] = good
-
-    candidates = []
-    for cell in cells:
-        if not ok[cell] or known[cell] is None:
-            continue
-        minimal = True
-        for axis in range(box.dim):
-            if cell[axis] > 1:
-                down = cell[:axis] + (cell[axis] - 1,) + cell[axis + 1:]
-                if ok[down] and known[down] is not None:
-                    minimal = False
-                    break
-        if minimal:
-            candidates.append(cell)
-    if not candidates:
-        return None, ok
-    return MultiIndex(min(candidates)), ok
+    ok: dict[tuple, bool] = {}  # the predicate is not False anywhere above
+    t = None
+    for cell in reversed(_grid(box)):
+        verdict = predicate(cell)
+        ok[cell] = verdict is not False and all(
+            ok[cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]]
+            for axis in range(box.dim)
+            if cell[axis] < box[axis]
+        )
+        if ok[cell] and verdict is not None:
+            t = cell
+    return t
 
 
 def excess_ratio_threshold(r, bound: float, search_box, K: float = 0.0):
@@ -248,8 +241,7 @@ def excess_ratio_threshold(r, bound: float, search_box, K: float = 0.0):
     def pred(x: MultiIndex) -> bool:
         return (boundary_excess(x, r) + K) / x.volume < bound
 
-    t, _ = minimal_upward_threshold(pred, search_box)
-    return t
+    return minimal_upward_threshold(pred, search_box)
 
 
 @dataclass(frozen=True)
@@ -280,50 +272,37 @@ def theorem2_threshold(
     delta: float | None,
     search_box,
     budget: int = DEFAULT_BUDGET,
-    assume_nonsurjective: bool = False,
 ) -> ThresholdReport:
     """Search a finite box for the loss-dominates-boundary threshold.
 
     Counts on the cells of the search box come from `out_sizes`; cells
     it refuses for budget are left out.  Only the region actually
     verified is reported; nothing is extrapolated beyond the search box.
-    Requires evidence of nonsurjectivity (the dichotomy's second branch):
-    in dimension 1 the exact decision is run, otherwise a deficient count
-    inside the box or the caller's override is accepted.  delta defaults
-    to midway between the observed upper bound on the per-cell limit and 1.
+    The bound holds on the nonsurjective branch of the dichotomy, and
+    its evidence, in every dimension, is a deficient count (below q^volume)
+    among the box's own records: a surjective automaton has none
+    (Garden of Eden), so without one a ValueError is raised.  delta
+    defaults to midway between the observed upper bound on the per-cell
+    limit and 1.
     """
     search_box = as_index(search_box, ca.dimension)
-    r = tuple(int(v) for v in r)
+    r = _integers(r, "boundary width")
     if len(r) != ca.dimension or any(v < 0 for v in r):
         raise ValueError("boundary widths must be nonnegative, one per axis")
     if K < 0:
         raise ValueError("K must be >= 0")
 
-    q = ca.state_count
-    cells = [MultiIndex(c) for c in itertools.product(*[range(1, s + 1) for s in search_box])]
-    table = {
-        sides: rec.out_size
-        for sides, rec in zip(cells, out_sizes(ca, cells, budget))
-        if not isinstance(rec, BudgetExceeded)
-    }
-    if not table:
+    records, _ = _counted(ca, _grid(search_box), budget)
+    if not records:
         raise BudgetExceeded("no cell of the search box fits the budget")
+    if all(rec.out_size == rec.full_size for rec in records):
+        raise ValueError(
+            f"no deficient count in the search box: all {len(records)} counted "
+            "boxes are full, so nothing shows the automaton is nonsurjective"
+        )
 
-    if ca.dimension == 1:
-        if decide_surjectivity_1d(ca) is None:
-            raise ValueError(
-                "automaton is surjective: the loss bound only holds on the "
-                "nonsurjective branch of the dichotomy"
-            )
-    elif not assume_nonsurjective:
-        if all(table[s] == q**s.volume for s in table):
-            raise ValueError(
-                "no deficient count found in the search box; pass "
-                "assume_nonsurjective=True to search anyway"
-            )
-
-    ratios = {s: log_base(table[s], q) / s.volume for s in table}
-    lambda_upper = min(ratios.values())
+    losses = {rec.sides: loss(ca, rec) for rec in records}
+    lambda_upper = min(rec.ratio for rec in losses.values())
     if delta is None:
         delta = (lambda_upper + 1.0) / 2.0
     if not lambda_upper < delta < 1.0:
@@ -333,25 +312,24 @@ def theorem2_threshold(
         )
 
     def pred(x: MultiIndex):
-        if x not in table:
+        if x not in losses:
             return None
-        if ratios[x] > delta:
+        if losses[x].ratio > delta:
             return False
         return (boundary_excess(x, r) + K) / x.volume <= 1.0 - delta
 
-    t, _ = minimal_upward_threshold(pred, search_box)
+    t = minimal_upward_threshold(pred, search_box)
     if t is None:
         return ThresholdReport(
             K=K, r=r, delta=delta, search_box=search_box, found=False,
             t=None, checked_region=(), verified=False, lambda_upper=lambda_upper,
         )
 
-    region = tuple(sorted(x for x in table if leq_pi(t, x)))
+    region = tuple(sorted(x for x in losses if leq_pi(t, x)))
     verified = True
     for x in region:
-        lam = x.volume - log_base(table[x], q)
         want = boundary_excess(x, r) + K
-        if lam < want - 1e-9 * max(1.0, abs(want)):
+        if losses[x].lambda_qits < want - 1e-9 * max(1.0, abs(want)):
             verified = False
     return ThresholdReport(
         K=K, r=r, delta=delta, search_box=search_box, found=True,
@@ -382,8 +360,7 @@ class SurjectivityVerdict:
 
 
 def _boxes_by_volume(dim: int, max_side: int):
-    boxes = map(MultiIndex._trusted, itertools.product(range(1, max_side + 1), repeat=dim))
-    return sorted(boxes, key=lambda b: (b.volume, b))
+    return sorted(_grid(MultiIndex._trusted((max_side,) * dim)), key=lambda b: (b.volume, b))
 
 
 def surjectivity_report(

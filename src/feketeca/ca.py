@@ -117,7 +117,7 @@ class RightPolytope:
         origin = self.origin
         if origin is None:
             origin = (0,) * sides.dim
-        origin = tuple(int(v) for v in origin)
+        origin = _integers(origin, "origin")
         if len(origin) != sides.dim:
             raise ValueError("origin and sides must have equal dimension")
         object.__setattr__(self, "sides", sides)
@@ -149,7 +149,7 @@ class Pattern:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        cells = tuple(int(v) for v in self.cells)
+        cells = _integers(self.cells, "pattern cell")
         if len(cells) != self.support.volume:
             raise ValueError(
                 f"pattern has {len(cells)} cells, support volume is {self.support.volume}"

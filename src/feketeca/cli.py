@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -42,6 +41,7 @@ from .subadditive import (
     check_subadditivity_on_table,
     fekete_limit_estimate,
     subadditivity_triple_count,
+    _grid,
 )
 
 EXIT_OK = 0
@@ -218,7 +218,7 @@ def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex]:
     n = args.max_sides
     if n < 1:
         raise DescriptionError(f"--max-sides must be >= 1, got {n}")
-    return list(map(MultiIndex._trusted, itertools.product(range(1, n + 1), repeat=ca.dimension)))
+    return _grid(MultiIndex._trusted((n,) * ca.dimension))
 
 
 def cmd_out_table(args) -> int:
@@ -318,9 +318,8 @@ def cmd_lambda(args) -> int:
     print(f"boxes evaluated: {len(est.records)}")
     if est.subadditivity_violations:
         print(f"WARNING: {len(est.subadditivity_violations)} log-subadditivity violations")
-    if est.partial:
-        for note in est.notes:
-            print(f"partial: {note}")
+    for note in est.notes:
+        print(f"partial: {note}")
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")

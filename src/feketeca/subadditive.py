@@ -94,6 +94,11 @@ def as_index(value, dim: int | None = None) -> MultiIndex:
     return idx
 
 
+def _grid(box: MultiIndex) -> list[MultiIndex]:
+    """Every box <= `box` in the product order, in row-major order."""
+    return list(map(MultiIndex._trusted, itertools.product(*[range(1, s + 1) for s in box])))
+
+
 def leq_pi(x, y) -> bool:
     """Product-order comparison: true iff x_i <= y_i for every coordinate."""
     x = as_index(x)
@@ -259,8 +264,7 @@ def check_subadditivity(
     """
     box = as_index(box, f.dim)
     if subadditivity_triple_count(box) <= exhaustive_limit:
-        grid = itertools.product(*[range(1, side + 1) for side in box])
-        return check_subadditivity_on_table({MultiIndex(c): f(c) for c in grid})
+        return check_subadditivity_on_table({c: f(c) for c in _grid(box)})
 
     axes = [j for j, side in enumerate(box) if side >= 2]
     if samples <= 0 or not axes:

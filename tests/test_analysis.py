@@ -1,6 +1,9 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feketeca import (
     BudgetExceeded,
@@ -8,6 +11,7 @@ from feketeca import (
     MultiIndex,
     VerdictStatus,
     Violation,
+    analysis,
     boundary_excess,
     diagonal_schedule,
     excess_ratio_threshold,
@@ -153,6 +157,43 @@ class TestLambdaEstimate:
         assert abs(est.base_ratio - math.log2(114) / 8) < 1e-12
 
 
+def _threshold_by_candidates(predicate, box):
+    """Reference for `minimal_upward_threshold`: mark the cells with the
+    predicate not False anywhere above, collect the qualifying cells that
+    have no qualifying cell one step below, and take the least."""
+    cells = list(itertools.product(*[range(1, s + 1) for s in box]))
+    ok, known = {}, {}
+    for cell in reversed(cells):
+        known[cell] = predicate(MultiIndex(cell))
+        good = known[cell] is not False
+        for axis in range(len(box)):
+            if cell[axis] < box[axis]:
+                good = good and ok[cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]]
+        ok[cell] = good
+    candidates = [
+        cell for cell in cells
+        if ok[cell] and known[cell] is not None
+        and not any(
+            ok[down] and known[down] is not None
+            for axis in range(len(box)) if cell[axis] > 1
+            for down in [cell[:axis] + (cell[axis] - 1,) + cell[axis + 1:]]
+        )
+    ]
+    return MultiIndex(min(candidates)) if candidates else None
+
+
+@st.composite
+def tri_state_predicate(draw):
+    """A box of dimension 1-3 with sides <= 5 and a True/False/None
+    answer for each of its cells."""
+    box = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    cells = list(itertools.product(*[range(1, s + 1) for s in box]))
+    answers = draw(st.lists(
+        st.sampled_from([True, False, None]), min_size=len(cells), max_size=len(cells)
+    ))
+    return box, dict(zip(cells, answers))
+
+
 class TestThresholds:
     def test_boundary_excess(self):
         assert boundary_excess((5,), (2,)) == 2
@@ -161,16 +202,24 @@ class TestThresholds:
             boundary_excess((3,), (-1,))
 
     def test_minimal_upward_threshold_1d(self):
-        t, _ = minimal_upward_threshold(lambda x: x[0] >= 5, (10,))
+        t = minimal_upward_threshold(lambda x: x[0] >= 5, (10,))
         assert t == (5,)
-        t, _ = minimal_upward_threshold(lambda x: False, (10,))
+        t = minimal_upward_threshold(lambda x: False, (10,))
         assert t is None
 
     def test_minimal_upward_threshold_2d_antichain(self):
         # qualifying set {x*y >= 6} has incomparable minimal elements;
         # the lexicographically least is reported
-        t, _ = minimal_upward_threshold(lambda x: x[0] * x[1] >= 6, (6, 6))
+        t = minimal_upward_threshold(lambda x: x[0] * x[1] >= 6, (6, 6))
         assert t == (1, 6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tri_state_predicate())
+    def test_minimal_upward_threshold_matches_the_candidate_search(self, case):
+        box, answers = case
+        assert minimal_upward_threshold(answers.__getitem__, box) == (
+            _threshold_by_candidates(answers.__getitem__, box)
+        )
 
     def test_excess_ratio_threshold_shrinks_with_eps(self):
         r = (1, 2)
@@ -215,6 +264,24 @@ class TestThresholds:
     def test_surjective_rule_rejected(self, shift):
         with pytest.raises(ValueError):
             theorem2_threshold(shift, K=1, r=(2,), delta=0.9, search_box=(20,))
+
+    def test_nonsurjectivity_comes_from_the_box_counts(self, and1d, monkeypatch):
+        want = theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,))
+
+        def refuse(ca, max_subsets=None):
+            raise BudgetExceeded("subset search refused")
+
+        monkeypatch.setattr(analysis, "decide_surjectivity_1d", refuse)
+        assert theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,)) == want
+
+    def test_full_counts_are_no_evidence(self, and1d):
+        # and1d is nonsurjective, but its counts 2 and 4 on sides 1 and 2 are full
+        with pytest.raises(ValueError, match="deficient"):
+            theorem2_threshold(and1d, K=0, r=(0,), delta=None, search_box=(2,))
+
+    def test_non_integer_boundary_width_is_refused(self, and1d):
+        with pytest.raises(ValueError, match=r"boundary width entry 0 is 2\.9, not an integer"):
+            theorem2_threshold(and1d, K=1, r=(2.9,), delta=0.9, search_box=(64,))
 
     def test_and2d_desk_scale_honest_failure(self, and2d):
         rep = theorem2_threshold(and2d, K=0, r=(1, 1), delta=None, search_box=(3, 3))

@@ -49,6 +49,15 @@ class TestConstruction:
         assert ca.neighborhood == ((0,), (1,)) and ca.rule_table == (0, 0, 0, 1)
         assert all(type(v) is int for v in ca.rule_table)
 
+    def test_non_integer_origin_is_refused(self):
+        with pytest.raises(ValueError, match=r"^origin entry 0 is 0\.5, not an integer$"):
+            RightPolytope((2,), (0.5,))
+        assert RightPolytope((2,), (np.int64(-1),)).origin == (-1,)
+
+    def test_non_integer_pattern_cell_is_refused(self):
+        with pytest.raises(ValueError, match=r"^pattern cell entry 0 is 1\.7, not an integer$"):
+            Pattern(RightPolytope((2,)), (1.7, 0))
+
 
 class TestSupports:
     def test_minkowski_interval(self):

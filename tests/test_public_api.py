@@ -56,3 +56,37 @@ def test_readme_tour_runs_and_its_literal_comments_hold():
         else:
             exec(source, namespace)
     assert checked >= 5
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports at top level and never reads or exports."""
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__")
+        for alias in stmt.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+        ):
+            read |= set(ast.literal_eval(stmt.value))
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(feketeca.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not unused
+
+
+def test_the_unused_import_check_sees_an_orphaned_import():
+    assert _unused_imports("import itertools\nimport math\nmath.pi\n") == ["itertools"]
+    assert _unused_imports("from .x import a, b\n__all__ = ['a']\n") == ["b"]
