@@ -13,7 +13,6 @@ from .subadditive import (
     check_subadditivity_on_table,
     decomposition_bound,
     diagonal_schedule,
-    fekete_limit_estimate,
     geometric_schedule,
     leq_pi,
     running_infimum,
@@ -37,21 +36,19 @@ from .counting import (
     OutRecord,
     decide_surjectivity_1d,
     find_orphan,
+    log_base,
     out_size_transfer_1d,
     out_sizes,
     out_sizes_bruteforce,
 )
 from .analysis import (
     LambdaEstimate,
-    LossRecord,
     SurjectivityVerdict,
     ThresholdReport,
     VerdictStatus,
     boundary_excess,
     excess_ratio_threshold,
     lambda_estimate,
-    log_base,
-    loss,
     minimal_upward_threshold,
     surjectivity_report,
     theorem2_threshold,
@@ -63,15 +60,15 @@ __all__ = [
     "MultiIndex", "as_index", "leq_pi", "SubadditiveFn", "Violation",
     "FeketeEstimate", "subadditivity_triple_count", "check_subadditivity",
     "check_subadditivity_on_table", "running_infimum", "decomposition_bound",
-    "fekete_limit_estimate", "diagonal_schedule", "geometric_schedule",
+    "diagonal_schedule", "geometric_schedule",
     "CellularAutomaton", "RightPolytope", "Pattern",
     "encode_states", "decode_states", "minkowski_sum",
     "induced_map", "make_builtin", "BUILTIN_NAMES",
     "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OrphanCertificate",
     "out_sizes_bruteforce", "out_size_transfer_1d", "out_sizes", "find_orphan",
-    "decide_surjectivity_1d",
-    "LossRecord", "LambdaEstimate", "ThresholdReport", "VerdictStatus",
-    "SurjectivityVerdict", "log_base", "loss", "lambda_estimate",
+    "decide_surjectivity_1d", "log_base",
+    "LambdaEstimate", "ThresholdReport", "VerdictStatus",
+    "SurjectivityVerdict", "lambda_estimate",
     "boundary_excess", "minimal_upward_threshold", "excess_ratio_threshold",
     "theorem2_threshold", "surjectivity_report",
 ]

@@ -1,10 +1,11 @@
-"""Information-loss analysis and surjectivity verdicts.
+"""Per-cell limit, loss thresholds and surjectivity verdicts.
 
 Loss at a box is volume minus log_q(output size), measured in q-its
-(one q-it = log2 q bits).  The per-cell limit of log_q(output size) is
-estimated through the Fekete engine; it equals 1 exactly when the
-automaton is surjective, so any certified upper bound below 1 is a
-nonsurjectivity signal.  The threshold search locates, inside a finite
+(one q-it = log2 q bits); each `OutRecord` carries it as `lambda_qits`,
+beside `ratio` = log_q(output size)/volume.  The per-cell limit of the
+ratio is estimated by `running_infimum` over the records; it equals 1
+exactly when the automaton is surjective, so any certified upper bound
+below 1 is a nonsurjectivity signal.  The threshold search locates, inside a finite
 box, the least size beyond which the loss provably dominates the
 boundary excess plus a constant.  Verdicts respect the decidability
 split: dimension 1 is decided exactly, higher dimensions are never
@@ -36,18 +37,15 @@ from .subadditive import (
     _grid,
     as_index,
     check_subadditivity_on_table,
-    fekete_limit_estimate,
     leq_pi,
+    running_infimum,
 )
 
 __all__ = [
-    "LossRecord",
     "LambdaEstimate",
     "ThresholdReport",
     "VerdictStatus",
     "SurjectivityVerdict",
-    "log_base",
-    "loss",
     "lambda_estimate",
     "boundary_excess",
     "minimal_upward_threshold",
@@ -63,42 +61,6 @@ _SCAN_MAX_SIDE = 12
 _EXACT_CHECK_SIDE = 64
 
 
-def log_base(n: int, q: int) -> float:
-    """log_q of a positive integer, exact when n is a power of q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = round(math.log(n, q)) if n > 1 else 0
-    if k >= 0 and q**k == n:
-        return float(k)
-    return math.log(n) / math.log(q)
-
-
-@dataclass(frozen=True)
-class LossRecord:
-    """Loss of information at one box, in q-its.
-
-    lambda_qits = volume - log_q(out_size) >= 0, and ratio =
-    log_q(out_size)/volume lies in [0, 1]; ratio is 1 iff the loss is 0.
-    """
-
-    sides: MultiIndex
-    lambda_qits: float
-    ratio: float
-    q: int
-
-
-def loss(ca: CellularAutomaton, record: OutRecord) -> LossRecord:
-    """Loss record derived from an exact output count."""
-    vol = record.sides.volume
-    lq = log_base(record.out_size, ca.state_count)
-    return LossRecord(
-        sides=record.sides,
-        lambda_qits=vol - lq,
-        ratio=lq / vol,
-        q=ca.state_count,
-    )
-
-
 @dataclass(frozen=True)
 class LambdaEstimate:
     """Bracketed estimate of the per-cell limit of log_q(output size).
@@ -110,7 +72,6 @@ class LambdaEstimate:
 
     estimate: FeketeEstimate
     records: tuple[OutRecord, ...]
-    q: int
     notes: tuple[str, ...] = ()
     subadditivity_violations: tuple[Violation, ...] = ()
 
@@ -130,21 +91,6 @@ class LambdaEstimate:
         return self.bracket[1] < 1.0 - 1e-12
 
 
-def _counted(
-    ca: CellularAutomaton, boxes: list[MultiIndex], budget: int
-) -> tuple[list[OutRecord], list[str]]:
-    """The records `out_sizes` counts on the boxes, in order, and a note
-    for each box it refused for budget."""
-    records: list[OutRecord] = []
-    notes: list[str] = []
-    for b, rec in zip(boxes, out_sizes(ca, boxes, budget)):
-        if isinstance(rec, BudgetExceeded):
-            notes.append(f"skipped {tuple(b)}: {rec}")
-        else:
-            records.append(rec)
-    return records, notes
-
-
 def lambda_estimate(
     ca: CellularAutomaton, schedule, budget: int = DEFAULT_BUDGET
 ) -> LambdaEstimate:
@@ -152,43 +98,44 @@ def lambda_estimate(
 
     Output sizes come from `out_sizes`, one record per distinct box in
     schedule order (first occurrence); boxes refused for budget are
-    skipped and the estimate marked partial.  The exact counts are
-    checked log-subadditive, Out(x + y) <= Out(x) * Out(y) in integers,
-    by the multiplicative `check_subadditivity_on_table` on the keys
-    whose every side is at most `_EXACT_CHECK_SIDE` or a power of two,
-    before the Fekete machinery runs on log_q(out).  In d >= 2 that is
-    every key: a box is only counted when q^volume fits the 63-bit code
-    width, so no side exceeds 62.  In 1D it is every split of a length
-    <= 64 plus the doublings 2^k + 2^k = 2^(k+1) at every scale.  A
-    violation contradicts the pattern-joining argument, so it flags a
-    counting bug rather than a property of the automaton."""
+    skipped and the estimate marked partial.  `running_infimum` runs on
+    the records' boxes with f = log_q(out), so its ratios are the
+    records' own `ratio`s.  The exact counts are checked log-subadditive,
+    Out(x + y) <= Out(x) * Out(y) in integers, by the multiplicative
+    `check_subadditivity_on_table` on the keys whose every side is at
+    most `_EXACT_CHECK_SIDE` or a power of two.  In d >= 2 that is every
+    key: a box is only counted when q^volume fits the 63-bit code width,
+    so no side exceeds 62.  In 1D it is every split of a length <= 64
+    plus the doublings 2^k + 2^k = 2^(k+1) at every scale.  A violation
+    contradicts the pattern-joining argument, so it flags a counting bug
+    rather than a property of the automaton."""
     boxes = list(dict.fromkeys(as_index(b, ca.dimension) for b in schedule))
     if not boxes:
         raise ValueError("schedule must be nonempty")
-    q = ca.state_count
 
-    records, notes = _counted(ca, boxes, budget)
-    if not records:
+    by_box: dict[MultiIndex, OutRecord] = {}
+    notes = []
+    for b, rec in zip(boxes, out_sizes(ca, boxes, budget)):
+        if isinstance(rec, BudgetExceeded):
+            notes.append(f"skipped {tuple(b)}: {rec}")
+        else:
+            by_box[b] = rec
+    if not by_box:
         raise BudgetExceeded("no scheduled box fits the budget")
 
-    table = {r.sides: r.out_size for r in records}
     checked = {
-        x: out for x, out in table.items()
+        x: rec.out_size for x, rec in by_box.items()
         if all(s <= _EXACT_CHECK_SIDE or s & (s - 1) == 0 for s in x)
     }
     violations = ()
     if checked:
         violations = tuple(check_subadditivity_on_table(checked, multiplicative=True))
 
-    logs = {x: log_base(out, q) for x, out in table.items()}
-    fn = SubadditiveFn(ca.dimension, logs.__getitem__, name=f"log{q}(out[{ca.name or 'ca'}])")
-    computed = list(table)
-    # the product-order maximum when there is one, as it is lexicographically last
-    est = fekete_limit_estimate(fn, max(computed), computed)
+    name = f"log{ca.state_count}(out[{ca.name or 'ca'}])"
+    fn = SubadditiveFn(ca.dimension, lambda x: by_box[x].log_out, name=name)
     return LambdaEstimate(
-        estimate=est,
-        records=tuple(records),
-        q=q,
+        estimate=running_infimum(fn, list(by_box)),
+        records=tuple(by_box.values()),
         notes=tuple(notes),
         subadditivity_violations=violations,
     )
@@ -207,25 +154,23 @@ def boundary_excess(x, r) -> int:
 def minimal_upward_threshold(predicate, search_box) -> MultiIndex | None:
     """Least box t such that the predicate holds at every x >= t in the box.
 
-    A cell qualifies when the predicate is True there and not False at
-    any cell above it in the box; None answers count as vacuously fine
-    but cannot qualify themselves.  The qualifying set is upward closed,
-    so its minimal elements form an antichain; the lexicographically
-    least qualifying cell is returned, and it is minimal, since every
-    cell below it in the product order is lexicographically smaller.
+    A cell qualifies when the predicate holds there and at every cell
+    above it in the box.  The qualifying set is upward closed, so its
+    minimal elements form an antichain; the lexicographically least
+    qualifying cell is returned, and it is minimal, since every cell
+    below it in the product order is lexicographically smaller.
     Returns None when no cell qualifies.
     """
     box = as_index(search_box)
-    ok: dict[tuple, bool] = {}  # the predicate is not False anywhere above
+    ok: dict[tuple, bool] = {}  # the predicate holds here and everywhere above
     t = None
     for cell in reversed(_grid(box)):
-        verdict = predicate(cell)
-        ok[cell] = verdict is not False and all(
+        ok[cell] = predicate(cell) and all(
             ok[cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]]
             for axis in range(box.dim)
             if cell[axis] < box[axis]
         )
-        if ok[cell] and verdict is not None:
+        if ok[cell]:
             t = cell
     return t
 
@@ -275,9 +220,12 @@ def theorem2_threshold(
 ) -> ThresholdReport:
     """Search a finite box for the loss-dominates-boundary threshold.
 
-    Counts on the cells of the search box come from `out_sizes`; cells
-    it refuses for budget are left out.  Only the region actually
-    verified is reported; nothing is extrapolated beyond the search box.
+    Counts on the cells of the search box come from `out_sizes`.  A
+    refusal on any cell raises the search box's own `BudgetExceeded`:
+    the cost q^|E+N| grows with the box, so refusals are upward closed
+    and the search box is refused whenever any cell is.  Only the region
+    actually verified is reported; nothing is extrapolated beyond the
+    search box.
     The bound holds on the nonsurjective branch of the dichotomy, and
     its evidence, in every dimension, is a deficient count (below q^volume)
     among the box's own records: a surjective automaton has none
@@ -292,17 +240,17 @@ def theorem2_threshold(
     if K < 0:
         raise ValueError("K must be >= 0")
 
-    records, _ = _counted(ca, _grid(search_box), budget)
-    if not records:
-        raise BudgetExceeded("no cell of the search box fits the budget")
+    records = out_sizes(ca, _grid(search_box), budget)
+    if isinstance(records[-1], BudgetExceeded):  # the search box, last in the grid
+        raise records[-1]
     if all(rec.out_size == rec.full_size for rec in records):
         raise ValueError(
             f"no deficient count in the search box: all {len(records)} counted "
             "boxes are full, so nothing shows the automaton is nonsurjective"
         )
 
-    losses = {rec.sides: loss(ca, rec) for rec in records}
-    lambda_upper = min(rec.ratio for rec in losses.values())
+    by_box = {rec.sides: rec for rec in records}
+    lambda_upper = min(rec.ratio for rec in records)
     if delta is None:
         delta = (lambda_upper + 1.0) / 2.0
     if not lambda_upper < delta < 1.0:
@@ -311,12 +259,9 @@ def theorem2_threshold(
             f"{lambda_upper:.6f} and 1, got {delta}"
         )
 
-    def pred(x: MultiIndex):
-        if x not in losses:
-            return None
-        if losses[x].ratio > delta:
-            return False
-        return (boundary_excess(x, r) + K) / x.volume <= 1.0 - delta
+    def pred(x: MultiIndex) -> bool:
+        excess = (boundary_excess(x, r) + K) / x.volume
+        return by_box[x].ratio <= delta and excess <= 1.0 - delta
 
     t = minimal_upward_threshold(pred, search_box)
     if t is None:
@@ -325,11 +270,11 @@ def theorem2_threshold(
             t=None, checked_region=(), verified=False, lambda_upper=lambda_upper,
         )
 
-    region = tuple(sorted(x for x in losses if leq_pi(t, x)))
+    region = tuple(sorted(x for x in by_box if leq_pi(t, x)))
     verified = True
     for x in region:
         want = boundary_excess(x, r) + K
-        if losses[x].lambda_qits < want - 1e-9 * max(1.0, abs(want)):
+        if by_box[x].lambda_qits < want - 1e-9 * max(1.0, abs(want)):
             verified = False
     return ThresholdReport(
         K=K, r=r, delta=delta, search_box=search_box, found=True,

@@ -17,12 +17,7 @@ import math
 import os
 import sys
 
-from .analysis import (
-    VerdictStatus,
-    lambda_estimate,
-    loss,
-    surjectivity_report,
-)
+from .analysis import VerdictStatus, lambda_estimate, surjectivity_report
 from .ca import CellularAutomaton, make_builtin
 from .counting import (
     DEFAULT_BUDGET,
@@ -39,7 +34,7 @@ from .subadditive import (
     SubadditiveFn,
     check_subadditivity,
     check_subadditivity_on_table,
-    fekete_limit_estimate,
+    running_infimum,
     subadditivity_triple_count,
     _grid,
 )
@@ -249,14 +244,13 @@ def cmd_out_table(args) -> int:
                 status = f"refused: cost {_decimal(rec.cost)} exceeds budget {args.budget}"
                 writer.writerow([str(s) for s in sides] + ["", "", "", "", status])
                 continue
-            rec_loss = loss(ca, rec)
             writer.writerow(
                 [str(s) for s in sides]
                 + [
                     _decimal(rec.out_size),
                     _decimal(rec.full_size),
-                    _fmt12(rec_loss.ratio),
-                    _fmt12(rec_loss.lambda_qits),
+                    _fmt12(rec.ratio),
+                    _fmt12(rec.lambda_qits),
                     "ok",
                 ]
             )
@@ -324,9 +318,9 @@ def cmd_lambda(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])
-        # the Fekete engine's ratios are log_q(out)/volume per record, in order
-        for rec, ratio in zip(est.records, est.estimate.ratios):
-            writer.writerow([str(s) for s in rec.sides] + [_decimal(rec.out_size), _fmt12(ratio)])
+        for rec in est.records:
+            row = [_decimal(rec.out_size), _fmt12(rec.ratio)]
+            writer.writerow([str(s) for s in rec.sides] + row)
     finally:
         if close:
             out.close()
@@ -342,15 +336,19 @@ _FEKETE_BUILTINS = {
 }
 
 
-def load_fekete_table(path: str) -> SubadditiveFn:
-    """JSON table {"values": {"3": 5, "2x4": 7, ...}} with 'x'-separated keys."""
+def load_fekete_table(path: str) -> dict[MultiIndex, float]:
+    """JSON table {"values": {"3": 5, "2x4": 7, ...}} with 'x'-separated
+    keys of one dimension."""
     data = _read_json(path)
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, dict) or not values:
         raise DescriptionError("key 'values' must be a nonempty object")
+    dim = parse_sides(next(iter(values))).dim
     table = {}
     for key, val in values.items():
         idx = parse_sides(key)
+        if idx.dim != dim:
+            raise DescriptionError(f"key 'values': keys mix dimensions ({dim} and {idx.dim})")
         if not (_is_int(val) or isinstance(val, float)):
             raise DescriptionError(f"key 'values': entry {key!r} is not a number")
         try:
@@ -360,7 +358,7 @@ def load_fekete_table(path: str) -> SubadditiveFn:
         if not math.isfinite(val):  # json reads NaN and Infinity
             raise DescriptionError(f"key 'values': entry {key!r} is not finite")
         table[idx] = val
-    return SubadditiveFn.from_table(table, name=path)
+    return table
 
 
 def cmd_fekete(args) -> int:
@@ -375,24 +373,25 @@ def cmd_fekete(args) -> int:
                 + ", ".join(sorted(_FEKETE_BUILTINS))
             ) from None
     else:
-        f = load_fekete_table(args.table)
+        table = load_fekete_table(args.table)
+        f = SubadditiveFn(next(iter(table)).dim, table.__getitem__, name=args.table)
 
     schedule = parse_schedule(args.schedule, f.dim)
     base = parse_sides(args.base, f.dim) if args.base else max(schedule)
     if args.table:
         for box in schedule:
-            if box not in f.table:
+            if box not in table:
                 raise DescriptionError(
                     f"table is incomplete on the schedule: missing index "
                     + "x".join(str(s) for s in box)
                 )
-        if base not in f.table:
+        if base not in table:
             raise DescriptionError(f"base {args.base} is not a key of the table")
         try:
-            violations = check_subadditivity_on_table(f)
+            violations = check_subadditivity_on_table(table)
         except ValueError as exc:
             raise DescriptionError(str(exc)) from None
-        scope = f"table ({len(f.table)} entries)"
+        scope = f"table ({len(table)} entries)"
     else:
         box = MultiIndex._trusted(map(max, zip(*schedule)))
         count = subadditivity_triple_count(box)
@@ -423,17 +422,15 @@ def cmd_fekete(args) -> int:
         return EXIT_VIOLATIONS
 
     print("violations: 0")
-    est = fekete_limit_estimate(f, base, schedule)
+    est = running_infimum(f, schedule + [base])
     lo, hi = est.bracket
     print(f"boxes evaluated: {len(est.evaluated_boxes)}")
     print(f"running infimum: {_fmt12(est.running_inf)}")
     print(f"last ratio: {_fmt12(est.last_ratio)}")
     print(f"limit bracket: [{lo:.6f}, {hi:.6f}]")
-    print(
-        "certified upper bound at base "
-        + "x".join(str(s) for s in est.base)
-        + f": {_fmt12(est.base_ratio)}"
-    )
+    # every evaluated ratio bounds the limit from above; the base's is reported
+    base_ratio = est.ratios[est.evaluated_boxes.index(base)]
+    print(f"certified upper bound at base {'x'.join(map(str, base))}: {_fmt12(base_ratio)}")
     return EXIT_OK
 
 

@@ -32,7 +32,9 @@ can produce on a box):
 1, brute force in higher dimensions or when the DFA refuses.  The two
 routes must agree wherever both run; they share no machinery.  Counts
 are exact Python integers throughout (q^volume overflows fixed width at
-modest sizes).  Orphan search lives here too.
+modest sizes).  Each `OutRecord` carries its own loss: `log_out`,
+`ratio` and `lambda_qits` are properties read off the count, so there is
+one place that turns a count into q-its.  Orphan search lives here too.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +54,7 @@ __all__ = [
     "BudgetExceeded",
     "OutRecord",
     "OrphanCertificate",
+    "log_base",
     "out_sizes_bruteforce",
     "out_size_transfer_1d",
     "out_sizes",
@@ -86,19 +90,48 @@ class BudgetExceeded(Exception):
         self.cost = cost
 
 
+def log_base(n: int, q: int) -> float:
+    """log_q of a positive integer, exact when n is a power of q."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = round(math.log(n, q)) if n > 1 else 0
+    if k >= 0 and q**k == n:
+        return float(k)
+    return math.log(n) / math.log(q)
+
+
 @dataclass(frozen=True)
 class OutRecord:
-    """Exact output size at one support size.
+    """Exact output size at one support size, and the loss it shows.
 
-    out_size counts distinct reachable patterns on the box; full_size is
-    q^volume.  method records which route produced the count.
+    out_size counts distinct reachable patterns on the box of a q-state
+    automaton; full_size is q^volume.  method records which route
+    produced the count.  The loss at the box is lambda_qits = volume -
+    log_q(out_size) >= 0, in q-its (one q-it = log2 q bits), and ratio =
+    log_q(out_size)/volume lies in [0, 1]; ratio is 1 iff the loss is 0.
     """
 
     sides: MultiIndex
     out_size: int
-    full_size: int
+    q: int
     method: str
     detail: str = ""
+
+    @property
+    def full_size(self) -> int:
+        return self.q**self.sides.volume
+
+    @cached_property
+    def log_out(self) -> float:
+        return log_base(self.out_size, self.q)
+
+    @property
+    def ratio(self) -> float:
+        return self.log_out / self.sides.volume
+
+    @property
+    def lambda_qits(self) -> float:
+        return self.sides.volume - self.log_out
 
 
 @dataclass(frozen=True)
@@ -272,7 +305,7 @@ def _read_group(
             OutRecord(
                 sides,
                 int(np.count_nonzero(last_seen)),
-                q**sides.volume,
+                q,
                 "bruteforce",
                 detail if sides == container else source,
             )
@@ -404,7 +437,7 @@ def out_size_transfer_1d(
             OutRecord(
                 sides=MultiIndex._trusted((n,)),
                 out_size=int(counts.sum()),
-                full_size=q**n,
+                q=q,
                 method="transfer1d",
                 detail=f"subsets={len(live)}",
             )

@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "check_subadditivity_on_table",
     "running_infimum",
     "decomposition_bound",
-    "fekete_limit_estimate",
     "diagonal_schedule",
     "geometric_schedule",
 ]
@@ -127,24 +126,6 @@ class SubadditiveFn:
     def __repr__(self):
         label = self.name or getattr(self.fn, "__name__", "fn")
         return f"SubadditiveFn(dim={self.dim}, {label})"
-
-    @classmethod
-    def from_table(cls, values: Mapping, name: str = "table") -> "SubadditiveFn":
-        """Back the function by an explicit index -> value mapping.
-
-        Evaluating an index absent from the table raises KeyError naming it.
-        """
-        table = _index_table(values, float)
-
-        def lookup(x: MultiIndex) -> float:
-            try:
-                return table[x]
-            except KeyError:
-                raise KeyError(f"table has no value at index {tuple(x)}") from None
-
-        fn = cls(next(iter(table)).dim, lookup, name=name)
-        fn.table = table
-        return fn
 
 
 def _index_table(values: Mapping, convert: Callable) -> dict:
@@ -325,13 +306,12 @@ def check_subadditivity_on_table(
     costs no more than one at 10.  Violations come in table order of x,
     then axis, then y.  A coordinate of 2^63 or more raises ValueError.
     """
+    table = _index_table(values, operator.index if multiplicative else float)
     if multiplicative:
-        table = _index_table(values, operator.index)
         if min(table.values()) < 1:
             raise ValueError("the multiplicative check needs positive integer values")
         vals = np.array(list(table.values()), dtype=object)
     else:
-        table = values.table if isinstance(values, SubadditiveFn) else _index_table(values, float)
         vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
     keys = list(table)
     try:
@@ -380,10 +360,11 @@ class FeketeEstimate:
     """Summary of the ratios f(x)/volume(x) over a set of evaluated boxes.
 
     The directed-set limit of the ratio equals the infimum over *all*
-    boxes, so `running_inf` (the least evaluated ratio) is a certified
-    upper bound for the limit.  No finite evaluation set certifies a
-    lower bound -- the data always extends to a subadditive function
-    whose limit is 0 -- so the lower end of `bracket` is `tail_slope`,
+    boxes, so every entry of `ratios`, the one at a chosen base box as
+    much as `running_inf` (the least of them), is a certified upper
+    bound for the limit.  No finite evaluation set certifies a lower
+    bound -- the data always extends to a subadditive function whose
+    limit is 0 -- so the lower end of `bracket` is `tail_slope`,
     the gain of f per unit of added volume between the two largest nested
     boxes: an empirical estimate that converges to the limit whenever the
     per-box deviation f(x) - L*volume(x) flattens out.
@@ -395,8 +376,6 @@ class FeketeEstimate:
     last_ratio: float
     has_pi_maximum: bool
     tail_slope: float
-    base: MultiIndex | None = None
-    base_ratio: float | None = None
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -410,13 +389,16 @@ def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     `last_ratio` is taken at the schedule's product-order maximum; when the
     schedule has none (its coordinatewise maximum is absent), the
     lexicographically last box is used instead and `has_pi_maximum` is
-    False.  f is evaluated once per distinct box.
+    False.  f is evaluated once per distinct box.  The certified bound
+    at a base box is its entry of `ratios`: append the base to the
+    schedule.  Subadditivity is the caller's to check; this records
+    ratios, it does not verify the hypothesis.
     """
     boxes = list(dict.fromkeys(as_index(b, f.dim) for b in schedule))
     if not boxes:
         raise ValueError("schedule must be nonempty")
 
-    values = dict(zip(boxes, map(f, boxes)))
+    values = {b: float(f.fn(b)) for b in boxes}
     ratios = tuple(values[b] / b.volume for b in boxes)
     running_inf = min(ratios)
 
@@ -464,21 +446,6 @@ def decomposition_bound(f: SubadditiveFn, t, x) -> float:
         args = MultiIndex(r if p else tj for tj, r, p in zip(t, rs, pick))
         total += coeff * f(args)
     return total
-
-
-def fekete_limit_estimate(f: SubadditiveFn, base, growth_schedule: Sequence) -> FeketeEstimate:
-    """Bracket the directed-set limit of f(x)/volume(x).
-
-    Runs `running_infimum` over the growth schedule plus `base` and attaches
-    the certified upper bound f(base)/volume(base) (the limit never exceeds
-    the ratio at any fixed box).  Subadditivity is the caller's
-    responsibility; this operation records ratios, it does not verify the
-    hypothesis.
-    """
-    base = as_index(base, f.dim)
-    est = running_infimum(f, list(growth_schedule) + [base])
-    base_ratio = f(base) / base.volume
-    return replace(est, base=base, base_ratio=base_ratio)
 
 
 def diagonal_schedule(dim: int, k_max: int, k_min: int = 1) -> list[MultiIndex]:

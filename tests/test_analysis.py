@@ -18,7 +18,6 @@ from feketeca import (
     find_orphan,
     lambda_estimate,
     log_base,
-    loss,
     minimal_upward_threshold,
     out_size_transfer_1d,
     out_sizes_bruteforce,
@@ -38,24 +37,21 @@ class TestLoss:
     def test_shift_loss_is_zero(self, shift):
         for n in range(1, 11):
             (rec,) = out_sizes_bruteforce(shift, [n])
-            assert loss(shift, rec).lambda_qits == 0.0
+            assert rec.lambda_qits == 0.0
 
     def test_and1d_examples(self, and1d):
         (rec3,) = out_sizes_bruteforce(and1d, [3])
-        l3 = loss(and1d, rec3)
-        assert abs(l3.lambda_qits - (3 - math.log2(7))) < 1e-12
+        assert abs(rec3.lambda_qits - (3 - math.log2(7))) < 1e-12
         (rec1,) = out_sizes_bruteforce(and1d, [1])
-        assert loss(and1d, rec1).lambda_qits == 0.0  # zero loss despite nonsurjectivity
+        assert rec1.lambda_qits == 0.0  # zero loss despite nonsurjectivity
 
     def test_ratio_identity(self, and1d, and2d):
         records = [out_sizes_bruteforce(and1d, [n])[0] for n in range(1, 9)]
         records += [out_sizes_bruteforce(and2d, [s])[0] for s in oracles.AND2D_OUT]
-        for ca, recs in ((and1d, records[:8]), (and2d, records[8:])):
-            for rec in recs:
-                l = loss(ca, rec)
-                assert abs(l.ratio - (1 - l.lambda_qits / rec.sides.volume)) < 1e-12
-                assert 0.0 <= l.ratio <= 1.0
-                assert l.lambda_qits >= 0.0
+        for rec in records:
+            assert abs(rec.ratio - (1 - rec.lambda_qits / rec.sides.volume)) < 1e-12
+            assert 0.0 <= rec.ratio <= 1.0
+            assert rec.lambda_qits >= 0.0
 
 
 class TestLambdaEstimate:
@@ -147,34 +143,34 @@ class TestLambdaEstimate:
 
     def test_fekete_engine_directly_on_and_counts(self, and1d):
         # the counting table fed straight into the standalone engine
-        from feketeca import SubadditiveFn, fekete_limit_estimate, log_base
+        from feketeca import SubadditiveFn, running_infimum
 
         out = {r.sides: r.out_size for r in out_size_transfer_1d(and1d, 2000)}
         f = SubadditiveFn(1, lambda x: log_base(out[x], 2), name="log2-and-count")
-        est = fekete_limit_estimate(f, (8,), [(n,) for n in range(1, 2001)])
+        est = running_infimum(f, [(n,) for n in range(1, 2001)])
         lo, hi = est.bracket
         assert lo <= 0.8114 <= hi and hi - lo <= 0.02
-        assert abs(est.base_ratio - math.log2(114) / 8) < 1e-12
+        # the ratio at any one box, here (8,), bounds the limit from above
+        assert abs(est.ratios[7] - math.log2(114) / 8) < 1e-12
 
 
 def _threshold_by_candidates(predicate, box):
-    """Reference for `minimal_upward_threshold`: mark the cells with the
-    predicate not False anywhere above, collect the qualifying cells that
-    have no qualifying cell one step below, and take the least."""
+    """Reference for `minimal_upward_threshold`: mark the cells where the
+    predicate holds there and everywhere above, collect the marked cells
+    that have no marked cell one step below, and take the least."""
     cells = list(itertools.product(*[range(1, s + 1) for s in box]))
-    ok, known = {}, {}
+    ok = {}
     for cell in reversed(cells):
-        known[cell] = predicate(MultiIndex(cell))
-        good = known[cell] is not False
+        good = predicate(MultiIndex(cell))
         for axis in range(len(box)):
             if cell[axis] < box[axis]:
                 good = good and ok[cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]]
         ok[cell] = good
     candidates = [
         cell for cell in cells
-        if ok[cell] and known[cell] is not None
+        if ok[cell]
         and not any(
-            ok[down] and known[down] is not None
+            ok[down]
             for axis in range(len(box)) if cell[axis] > 1
             for down in [cell[:axis] + (cell[axis] - 1,) + cell[axis + 1:]]
         )
@@ -183,14 +179,12 @@ def _threshold_by_candidates(predicate, box):
 
 
 @st.composite
-def tri_state_predicate(draw):
-    """A box of dimension 1-3 with sides <= 5 and a True/False/None
-    answer for each of its cells."""
+def bool_predicate(draw):
+    """A box of dimension 1-3 with sides <= 5 and a True/False answer for
+    each of its cells."""
     box = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
     cells = list(itertools.product(*[range(1, s + 1) for s in box]))
-    answers = draw(st.lists(
-        st.sampled_from([True, False, None]), min_size=len(cells), max_size=len(cells)
-    ))
+    answers = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
     return box, dict(zip(cells, answers))
 
 
@@ -214,7 +208,7 @@ class TestThresholds:
         assert t == (1, 6)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(tri_state_predicate())
+    @given(bool_predicate())
     def test_minimal_upward_threshold_matches_the_candidate_search(self, case):
         box, answers = case
         assert minimal_upward_threshold(answers.__getitem__, box) == (
@@ -274,6 +268,14 @@ class TestThresholds:
         monkeypatch.setattr(analysis, "decide_surjectivity_1d", refuse)
         assert theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,)) == want
 
+    def test_a_refused_cell_refuses_the_search(self, and2d):
+        # the 4x4 box needs 2^24 inputs; its refusal is raised, not skipped
+        with pytest.raises(BudgetExceeded) as refused:
+            theorem2_threshold(and2d, K=0, r=(0, 0), delta=0.99, search_box=(4, 4), budget=2**12)
+        assert refused.value.cost == 2**24
+        rep = theorem2_threshold(and2d, K=0, r=(0, 0), delta=0.99, search_box=(4, 4))
+        assert rep.t == (2, 3) and rep.verified
+
     def test_full_counts_are_no_evidence(self, and1d):
         # and1d is nonsurjective, but its counts 2 and 4 on sides 1 and 2 are full
         with pytest.raises(ValueError, match="deficient"):
@@ -328,8 +330,6 @@ class TestVerdicts:
     def test_dichotomy_consistency(self, shift, and1d):
         # surjective: zero loss everywhere checked; nonsurjective: some loss > 0
         for n in range(1, 9):
-            assert loss(shift, out_sizes_bruteforce(shift, [n])[0]).lambda_qits == 0.0
-        losses = [
-            loss(and1d, out_sizes_bruteforce(and1d, [n])[0]).lambda_qits for n in range(1, 9)
-        ]
+            assert out_sizes_bruteforce(shift, [n])[0].lambda_qits == 0.0
+        losses = [out_sizes_bruteforce(and1d, [n])[0].lambda_qits for n in range(1, 9)]
         assert any(l > 0 for l in losses)

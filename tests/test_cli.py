@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import feketeca
-from feketeca import cli, counting, lambda_estimate, loss, make_builtin, out_size_transfer_1d
+from feketeca import cli, counting, lambda_estimate, make_builtin, out_size_transfer_1d
 from feketeca.cli import (
     EXIT_NONSURJECTIVE,
     EXIT_OK,
@@ -366,7 +366,7 @@ class TestLambda:
         records = lambda_estimate(ca, parse_schedule(schedule, ca.dimension)).records
         assert len(rows) == len(records) > 1
         for row, rec in zip(rows, records):
-            assert row == [*map(str, rec.sides), str(rec.out_size), cli._fmt12(loss(ca, rec).ratio)]
+            assert row == [*map(str, rec.sides), str(rec.out_size), cli._fmt12(rec.ratio)]
 
     def test_deterministic(self, describe, capsys):
         path = describe("and", {"rule": {"builtin": "and1d"}})
@@ -451,6 +451,24 @@ class TestFekete:
         rc = cli.main(["fekete", "--table", str(path), "--schedule", "1,2,3"])
         assert rc == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: key 'values': entry '2' {problem}\n")
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"values": {"1": 1.0, "2x2": 3.0}}', "key 'values': keys mix dimensions (1 and 2)"),
+            ('{"values": {"2x2": 3.0, "1": 1.0}}', "key 'values': keys mix dimensions (2 and 1)"),
+            ('{"values": {"0": 1.0}}', "bad sides '0': coordinates must be >= 1, got (0,)"),
+            ('{"values": {}}', "key 'values' must be a nonempty object"),
+            ('[1, 2]', "key 'values' must be a nonempty object"),
+        ],
+        ids=["mixed-dimensions", "mixed-dimensions-2d-first", "zero-side", "empty", "not-an-object"],
+    )
+    def test_bad_table_is_a_usage_error(self, tmp_path, capsys, document, message):
+        path = tmp_path / "table.json"
+        path.write_text(document)
+        rc = cli.main(["fekete", "--table", str(path), "--schedule", "1"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_int_past_the_digit_limit_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "table.json"

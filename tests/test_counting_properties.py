@@ -6,6 +6,7 @@ small so every route stays cheap.
 """
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from feketeca import (
     induced_map,
     minkowski_sum,
     out_size_transfer_1d,
+    out_sizes,
     out_sizes_bruteforce,
 )
 
@@ -207,3 +209,40 @@ def test_decision_agrees_with_orphan_search(ca):
     if word and len(word) <= reach:
         # the lexicographically least shortest word is the code-minimal orphan
         assert find_orphan(ca, len(word)) == cert
+
+
+def _old_loss(rec, q):
+    """(lambda_qits, ratio, full_size) as the loss record computed them
+    before the record carried its own loss, with that log_q."""
+    n = rec.out_size
+    k = round(math.log(n, q)) if n > 1 else 0
+    lq = float(k) if k >= 0 and q**k == n else math.log(n) / math.log(q)
+    vol = rec.sides.volume
+    return vol - lq, lq / vol, q**vol
+
+
+def _assert_loss_is_the_old_loss(records, q):
+    for rec in records:
+        if isinstance(rec, counting.BudgetExceeded):
+            continue
+        lam, ratio, full = _old_loss(rec, q)
+        assert (rec.lambda_qits.hex(), rec.ratio.hex(), rec.full_size) == (
+            lam.hex(), ratio.hex(), full
+        )
+
+
+@_settings
+@given(case=rule_and_boxes())
+def test_record_loss_matches_the_old_loss(case):
+    ca, boxes, budget, origin = case
+    _assert_loss_is_the_old_loss(out_sizes(ca, boxes, budget), ca.state_count)
+    _assert_loss_is_the_old_loss(
+        out_sizes_bruteforce(ca, boxes, budget=budget, origin=origin), ca.state_count
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ca=rule_1d(), lengths=st.lists(st.integers(1, 300), min_size=1, max_size=4))
+def test_record_loss_matches_the_old_loss_on_long_words(ca, lengths):
+    # counts far past the float mantissa, where log_q is exact only on powers of q
+    _assert_loss_is_the_old_loss(out_sizes(ca, lengths), ca.state_count)

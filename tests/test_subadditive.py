@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -18,7 +17,6 @@ from feketeca import (
     check_subadditivity_on_table,
     decomposition_bound,
     diagonal_schedule,
-    fekete_limit_estimate,
     geometric_schedule,
     leq_pi,
     running_infimum,
@@ -97,7 +95,7 @@ class TestCheckSubadditivity:
 
 def _table_check_reference(values):
     """Plain loop over every covered (x, axis, y), in table order of x."""
-    table = SubadditiveFn.from_table(values).table
+    table = {MultiIndex(k): float(v) for k, v in values.items()}
     out = [Violation("negative", -1, x, 0, fx, 0.0) for x, fx in table.items() if fx < 0]
     axis_max = [max(k[axis] for k in table) for axis in range(len(next(iter(table))))]
     for x in table:
@@ -155,7 +153,7 @@ def test_table_check_matches_reference_loop(table):
     if len(table) == math.prod(box):
         # a full box: the exhaustive check tabulates f on it, in row-major order
         grid = {c: table[c] for c in itertools.product(*[range(1, s + 1) for s in box])}
-        assert check_subadditivity(SubadditiveFn.from_table(table), box) == (
+        assert check_subadditivity(SubadditiveFn(len(box), table.__getitem__), box) == (
             _table_check_reference(grid)
         )
 
@@ -372,22 +370,26 @@ class TestDecompositionBound:
                 assert decomposition_bound(LOG_CEIL, (t,), (x,)) >= LOG_CEIL((x,)) - 1e-9
 
 
+def _at(est: FeketeEstimate, box) -> float:
+    """The estimate's ratio at one evaluated box."""
+    return est.ratios[est.evaluated_boxes.index(MultiIndex(box))]
+
+
 class TestFeketeLimitEstimate:
     def test_additive_bracket_collapses(self):
-        est = fekete_limit_estimate(TRIPLE_N, (7,), diagonal_schedule(1, 50))
+        est = running_infimum(TRIPLE_N, diagonal_schedule(1, 50) + [(7,)])
         assert est.bracket == (3.0, 3.0)
-        assert est.base_ratio == 3.0
+        assert _at(est, (7,)) == 3.0
 
     def test_base_ratio_is_certified_upper_bound(self):
-        est = fekete_limit_estimate(PROD_PLUS, (1, 1), diagonal_schedule(2, 100))
-        assert est.base_ratio == 3.0
-        assert est.running_inf <= est.base_ratio
+        est = running_infimum(PROD_PLUS, diagonal_schedule(2, 100) + [(1, 1)])
+        assert _at(est, (1, 1)) == 3.0
+        assert est.running_inf <= _at(est, (1, 1))
         # enlarging the base improves the certificate: f(k,k)/k^2 = 1 + 2/k
-        bigger = fekete_limit_estimate(PROD_PLUS, (10, 10), diagonal_schedule(2, 100))
-        assert abs(bigger.base_ratio - 1.2) < 1e-12
+        assert abs(_at(est, (10, 10)) - 1.2) < 1e-12
 
     def test_product_plus_lower_end_approaches_one(self):
-        est = fekete_limit_estimate(PROD_PLUS, (1000, 1000), diagonal_schedule(2, 1000))
+        est = running_infimum(PROD_PLUS, diagonal_schedule(2, 1000))
         lo, hi = est.bracket
         assert 1.0 <= lo <= 1.0 + 2e-3
         assert abs(hi - 1.002) < 1e-12
@@ -457,8 +459,9 @@ def test_fekete_engine_matches_reference(case):
     want = _running_infimum_reference(f, schedule)
     assert got == want
     assert got_calls == calls  # f once per distinct box, in schedule order
+    # a base box appended to the schedule: its ratio is f(base)/volume
     base = MultiIndex(base)
-    est = fekete_limit_estimate(f, base, schedule)
-    ref = _running_infimum_reference(f, list(schedule) + [base])
-    assert est == replace(ref, base=base, base_ratio=f(base) / base.volume)
-    assert (type(est.evaluated_boxes[0]), type(est.base)) == (MultiIndex, MultiIndex)
+    est = running_infimum(f, schedule + [base])
+    assert est == _running_infimum_reference(f, schedule + [base])
+    assert _at(est, base) == f(base) / base.volume
+    assert type(est.evaluated_boxes[0]) is MultiIndex
