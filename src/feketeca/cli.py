@@ -10,7 +10,6 @@ inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -234,26 +233,28 @@ def cmd_out_table(args) -> int:
     try:
         if labels:
             print("# states: " + " ".join(f"{lab}={i}" for lab, i in labels.items()), file=out)
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [f"x{i+1}" for i in range(ca.dimension)]
-            + ["out_size", "full_size", "ratio", "lambda_qits", "status"]
-        )
+        # no field holds a comma, a quote or a line break, so a row is its
+        # fields joined by commas, as csv would write it
+        lines = [
+            ",".join(
+                [f"x{i+1}" for i in range(ca.dimension)]
+                + ["out_size", "full_size", "ratio", "lambda_qits", "status"]
+            )
+        ]
         for sides, rec in zip(sides_list, records):
             if isinstance(rec, BudgetExceeded):
                 status = f"refused: cost {_decimal(rec.cost)} exceeds budget {args.budget}"
-                writer.writerow([str(s) for s in sides] + ["", "", "", "", status])
-                continue
-            writer.writerow(
-                [str(s) for s in sides]
-                + [
+                fields = ["", "", "", "", status]
+            else:
+                fields = [
                     _decimal(rec.out_size),
                     _decimal(rec.full_size),
                     _fmt12(rec.ratio),
                     _fmt12(rec.lambda_qits),
                     "ok",
                 ]
-            )
+            lines.append(",".join([str(s) for s in sides] + fields))
+        out.write("\n".join(lines) + "\n")
     finally:
         if close:
             out.close()
@@ -316,11 +317,12 @@ def cmd_lambda(args) -> int:
         print(f"partial: {note}")
     out, close = _open_out(args.out)
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])
+        # joined CSV rows, as in out-table
+        lines = [",".join([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])]
         for rec in est.records:
             row = [_decimal(rec.out_size), _fmt12(rec.ratio)]
-            writer.writerow([str(s) for s in rec.sides] + row)
+            lines.append(",".join([str(s) for s in rec.sides] + row))
+        out.write("\n".join(lines) + "\n")
     finally:
         if close:
             out.close()

@@ -9,7 +9,11 @@ can produce on a box):
   count is the number of marked codes, and the first unmarked one is the
   canonical-code-minimal orphan.  Each enumerated cell is a broadcast
   axis, the last cell outermost, so the cells read so far are trailing
-  axes that numpy runs as one contiguous inner loop.  A list of boxes at
+  axes that numpy runs as one contiguous inner loop.  From _SPLIT_FLOOR
+  inputs on, a box is cut in two halves, each half is enumerated over
+  its own E_i+N together with the band of cells both halves read, and
+  the box bitmap is their join over the band states (meet in the
+  middle); the budget still prices q^|E+N|.  A list of boxes at
   one origin costs one enumeration per maximal box: every box inside a
   larger enumerated one is read off its bitmap by restriction (an `any`
   over the dropped cells), which is exact because E' <= E gives
@@ -40,6 +44,7 @@ one place that turns a count into q-its.  Orphan search lives here too.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,6 +71,10 @@ DEFAULT_BUDGET = 1 << 30
 
 # Most inputs one chunk of the enumeration holds.
 _CHUNK = 1 << 20
+
+# Fewest inputs, q^|E+N|, at which a box is enumerated as two halves
+# joined over their shared cells; below it, whole is faster.
+_SPLIT_FLOOR = 1 << 16
 
 # Longest middle axis `_any_middle` reduces slice by slice.
 _SHORT_GROUP = 16
@@ -168,14 +177,64 @@ def _image_bitmap(
 ) -> tuple[np.ndarray, str]:
     """Bitmap over the q^volume output codes: True iff the pattern is reachable.
 
-    Enumerates every assignment of the exact E+N cells, which
-    `_enumeration_cells` returns with the box E once the budget allows.
+    `_enumeration_cells` returns the box E with its exact E+N cells once
+    the budget allows.  From q^|E+N| = _SPLIT_FLOOR inputs on, the box is
+    cut at the middle of its first axis of side >= 2 into E1, the
+    row-major prefix, and E2, so a code is a * q^V2 + b for the codes a
+    on E1 and b on E2.  With c_i = E_i+N and the band B = c1 & c2, each
+    half is enumerated once into a bitmap over (band states, outputs), A
+    on E1 and Bm on E2, and
+
+        seen[a * q^V2 + b] = any over s of A[s, a] and Bm[s, b].
+
+    This is exact: the outputs on E_i read only c_i, and two inputs on
+    c1 and c2 that agree on B glue into one input on c1 | c2 = E+N.  A
+    half's codes span |B| + V_i <= |c_i| digits, because E2 shifted by
+    the offset of largest coordinate along the cut lies in c2 minus c1
+    (and E1 shifted by the smallest in c1 minus c2).  So each half bitmap
+    takes at most q^|c_i| bytes, and the join gathers packed rows of Bm,
+    one per true entry of A, about q^|E+N| / 8 bytes, with 16 bytes of
+    indices per true entry of A; all of it is allocated after the budget
+    check that priced q^|E+N|.  Smaller boxes, boxes of one cell and
+    halves whose codes would pass the 63-bit width are enumerated whole.
+    """
+    q = ca.state_count
+    L = len(cells)
+    cut = next((k for k, s in enumerate(E.sides) if s > 1), None)
+    if q**L >= _SPLIT_FLOOR and cut is not None:
+        side = E.sides[cut]
+        halves = [
+            RightPolytope(
+                E.sides[:cut] + (n,) + E.sides[cut + 1:],
+                E.origin[:cut] + (E.origin[cut] + at,) + E.origin[cut + 1:],
+            )
+            for at, n in ((0, side // 2), (side // 2, side - side // 2))
+        ]
+        c1, c2 = (minkowski_sum(half, ca.neighborhood) for half in halves)
+        band = tuple(sorted(set(c1).intersection(c2)))
+        if all(q ** (len(band) + half.volume) <= 1 << 62 for half in halves):
+            (A, n1), (Bm, n2) = (
+                _enumerate(ca, c, band, half) for c, half in zip((c1, c2), halves)
+            )
+            rows = q ** len(band)
+            return _join(A.reshape(rows, -1), Bm.reshape(rows, -1)), f"cells={L},chunks={n1 + n2}"
+    seen, chunks = _enumerate(ca, cells, (), E)
+    return seen, f"cells={L},chunks={chunks}"
+
+
+def _enumerate(
+    ca: CellularAutomaton, cells: tuple, band: tuple, E: RightPolytope
+) -> tuple[np.ndarray, int]:
+    """(bitmap, chunks run) over codes whose digits are the input states of
+    the `band` cells, then the outputs on E's cells in row-major order,
+    enumerating every assignment of `cells` (which hold the band and E+N).
+
     The leading cells are fixed per chunk; each remaining cell is its own
-    broadcast axis, so an output cell's rule index spans only the axes it
-    reads, and the partial output code spans only the axes read so far.
-    Free cell k sits on axis free-1-k: the cells read so far are then the
-    trailing axes, which numpy merges into one contiguous inner loop of
-    q^(cells read).
+    broadcast axis, so a digit's table index spans only the axes it
+    reads.  Free cell k sits on axis free-1-k, and digits are added to
+    the code in order of the last cell they read: the code then spans
+    only the cells read so far, the trailing axes, which numpy merges
+    into one contiguous inner loop.
     """
     q = ca.state_count
     L = len(cells)
@@ -183,35 +242,53 @@ def _image_bitmap(
     while free < L and q ** (free + 1) <= _CHUNK:
         free += 1
     lead = L - free
-    axes = [
-        np.arange(q, dtype=np.int64).reshape([q if a == free - 1 - k else 1 for a in range(free)])
-        for k in range(free)
-    ]
+    states = np.arange(q, dtype=np.int64)
+    axes = [states.reshape((q,) + (1,) * k) for k in range(free)]
     pos = {c: i for i, c in enumerate(cells)}
-    nb = ca.neighborhood_size
-    # per output cell: code weight, rule index over the free axes, and the
-    # (leading cell, argument weight) pairs a chunk fills in
+    rule = np.asarray(ca.rule_table, dtype=np.int64).reshape((q,) * ca.neighborhood_size)
+    # per digit: the cells it reads and its table; an input digit reads
+    # its one cell through the identity table
+    digits = [((pos[c],), states) for c in band] + [
+        (tuple(pos[tuple(map(operator.add, cell, off))] for off in ca.neighborhood), rule)
+        for cell in E.cells()
+    ]
+    width = len(digits)
+    # per digit: last cell read, table scaled by the code weight, and its
+    # index, whose leading-cell entries each chunk fills in
     reads = []
-    for j, cell in enumerate(E.cells()):
-        part, fixed = 0, []
-        for i, off in enumerate(ca.neighborhood):
-            p = pos[tuple(c + v for c, v in zip(cell, off))]
-            if p < lead:
-                fixed.append((p, q ** (nb - 1 - i)))
-            else:
-                part = part + axes[p - lead] * q ** (nb - 1 - i)
-        reads.append((q ** (E.volume - 1 - j), part, fixed))
-    table = np.asarray(ca.rule_table, dtype=np.int64)
+    for j, (args, table) in enumerate(digits):
+        table = table * q ** (width - 1 - j)
+        index = [axes[p - lead] if p >= lead else 0 for p in args]
+        fixed = [(i, p) for i, p in enumerate(args) if p < lead]
+        reads.append((max(args), table, index, fixed))
+    reads.sort(key=operator.itemgetter(0))
 
-    seen = np.zeros(q**E.volume, dtype=bool)
+    seen = np.zeros(q**width, dtype=bool)
     chunks = q**lead
     for chunk in range(chunks):
-        digits = decode_states(chunk, lead, q)
+        lead_states = decode_states(chunk, lead, q)
         code = 0
-        for weight, part, fixed in reads:
-            code = code + table[part + sum(digits[p] * w for p, w in fixed)] * weight
+        for _, table, index, fixed in reads:
+            for i, p in fixed:
+                index[i] = lead_states[p]
+            code = code + table[tuple(index)]
         seen[code] = True
-    return seen, f"cells={L},chunks={chunks}"
+    return seen, chunks
+
+
+def _join(A: np.ndarray, Bm: np.ndarray) -> np.ndarray:
+    """Flat bitmap of (a, b) with A[s, a] and Bm[s, b] for some band state s.
+
+    The rows of Bm are packed to bits, gathered once per true entry of A
+    grouped by a, and OR-ed per group with one `reduceat`."""
+    n2 = Bm.shape[1]
+    packed = np.packbits(Bm, axis=1)
+    a, s = np.nonzero(A.T)  # grouped by a
+    starts = np.flatnonzero(np.diff(a, prepend=-1))
+    rows = np.bitwise_or.reduceat(packed[s], starts, axis=0)
+    seen = np.zeros((A.shape[1], n2), dtype=bool)
+    seen[a[starts]] = np.unpackbits(rows, axis=1, count=n2).view(bool)
+    return seen.ravel()
 
 
 def _restrict(seen: np.ndarray, sides: MultiIndex, sub: MultiIndex, q: int) -> np.ndarray:

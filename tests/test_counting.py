@@ -117,6 +117,18 @@ class TestBatch:
         ]
         assert isinstance(recs[5], BudgetExceeded) and recs[5].cost == 2**35
 
+    def test_split_container_is_one_enumeration(self, and2d, enumerations):
+        # 2^24 inputs: above the split floor, so 4x4 is enumerated as two
+        # 2x4 halves; the count and the orphan are the whole enumeration's
+        recs = out_sizes_bruteforce(and2d, [(3, 3), (4, 4)])
+        assert enumerations == [(4, 4)]
+        assert [(r.out_size, r.detail) for r in recs] == [
+            (oracles.AND2D_OUT[(3, 3)], "from=4x4"),
+            (19440, "cells=24,chunks=2"),
+        ]
+        cert = find_orphan(and2d, (4, 4))
+        assert cert.pattern.code(2) == 82
+
     def test_refusal_matches_the_single_box_call(self, and1d):
         _, rec = out_sizes_bruteforce(and1d, [3, 40], budget=1 << 20)
         (alone,) = out_sizes_bruteforce(and1d, [40], budget=1 << 20)

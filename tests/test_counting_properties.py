@@ -112,6 +112,25 @@ def test_orphan_certificate_has_no_preimage(case):
 
 
 @st.composite
+def skewed_rule(draw, d, q):
+    """A d-dimensional q-state rule of one to three distinct offsets, within
+    3 of the origin in 1D and 1 otherwise (wider neighbourhoods leave few
+    boxes within the cap), so negative and gapped neighbourhoods occur."""
+    k = draw(st.integers(1, 3))
+    reach = 3 if d == 1 else 1
+    offsets = draw(
+        st.lists(st.tuples(*[st.integers(-reach, reach)] * d), min_size=k, max_size=k, unique=True)
+    )
+    # tables from a seeded generator (drawn value by value they shrink to
+    # constant rules); skewed towards state 0, most rules lose patterns
+    # even on the small boxes, where restriction errors would show
+    rng = draw(st.randoms(use_true_random=False))
+    skew = draw(st.sampled_from([0.5, 0.0, 0.75]))
+    table = [0 if rng.random() < skew else rng.randrange(q) for _ in range(q**k)]
+    return CellularAutomaton(d, q, tuple(offsets), table)
+
+
+@st.composite
 def rule_and_boxes(draw):
     """(automaton, box list, budget, origin) in 1 to 3 dimensions.
 
@@ -123,18 +142,7 @@ def rule_and_boxes(draw):
     """
     d = draw(st.integers(1, 3))
     q = draw(st.integers(2, 4))
-    k = draw(st.integers(1, 3))
-    reach = 3 if d == 1 else 1  # wider neighbourhoods leave few boxes within the cap
-    offsets = draw(
-        st.lists(st.tuples(*[st.integers(-reach, reach)] * d), min_size=k, max_size=k, unique=True)
-    )
-    # tables from a seeded generator (drawn value by value they shrink to
-    # constant rules); skewed towards state 0, most rules lose patterns
-    # even on the small boxes, where restriction errors would show
-    rng = draw(st.randoms(use_true_random=False))
-    skew = draw(st.sampled_from([0.5, 0.0, 0.75]))
-    table = [0 if rng.random() < skew else rng.randrange(q) for _ in range(q**k)]
-    ca = CellularAutomaton(d, q, tuple(offsets), table)
+    ca = draw(skewed_rule(d, q))
     origin = tuple(draw(st.integers(-5, 5)) for _ in range(d))
     grid = itertools.product(range(1, {1: 8, 2: 4, 3: 3}[d]), repeat=d)
     fits = [b for b in grid if _input_count(ca, b, origin) <= _ENUM_CAP]
@@ -175,6 +183,43 @@ def test_batch_equals_single_box_enumeration(small_chunks, case):
         else:
             assert rec.sides == sides and rec.method == "bruteforce"
             assert (rec.out_size, rec.full_size) == (ref, ca.state_count ** rec.sides.volume)
+
+
+@st.composite
+def rule_and_box(draw):
+    """(automaton, sides, origin) in 1 to 3 dimensions within _ENUM_CAP
+    inputs, with a side >= 2 somewhere; the leading axes are often of
+    side 1 (1xn, 1x1xn boxes), so the cut falls on a later axis."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 4))
+    ca = draw(skewed_rule(d, q))
+    origin = tuple(draw(st.integers(-5, 5)) for _ in range(d))
+    flat = draw(st.integers(0, d - 1))  # leading axes of side 1
+    grid = itertools.product(range(1, {1: 10, 2: 6, 3: 4}[d - flat]), repeat=d - flat)
+    fits = [
+        (1,) * flat + b
+        for b in grid
+        if max(b) > 1 and _input_count(ca, (1,) * flat + b, origin) <= _ENUM_CAP
+    ]
+    return ca, draw(st.sampled_from(fits)), origin
+
+
+@_settings
+@pytest.mark.parametrize("small_chunks", [False, True])
+@given(case=rule_and_box())
+def test_split_bitmap_equals_the_whole_enumeration(small_chunks, case):
+    ca, sides, origin = case
+    E, cells = counting._enumeration_cells(ca, sides, counting.DEFAULT_BUDGET, origin)
+    whole, _ = counting._enumerate(ca, cells, (), E)
+    # every box is split; a chunk of q^2 inputs sends the halves through the chunk loop
+    chunk = ca.state_count**2 if small_chunks else counting._CHUNK
+    with mock.patch.object(counting, "_SPLIT_FLOOR", 1), mock.patch.object(
+        counting, "_CHUNK", chunk
+    ), mock.patch.object(counting, "_join", wraps=counting._join) as join:
+        split, _ = counting._image_bitmap(ca, E, cells)
+    assert join.call_count == 1
+    assert split.dtype == whole.dtype
+    assert np.array_equal(split, whole)
 
 
 @st.composite
