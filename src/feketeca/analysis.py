@@ -5,28 +5,30 @@ Loss at a box is volume minus log_q(output size), measured in q-its
 beside `ratio` = log_q(output size)/volume.  The per-cell limit of the
 ratio is estimated by `running_infimum` over the records; it equals 1
 exactly when the automaton is surjective, so any certified upper bound
-below 1 is a nonsurjectivity signal.  The threshold search locates, inside a finite
-box, the least size beyond which the loss provably dominates the
-boundary excess plus a constant.  Verdicts respect the decidability
-split: dimension 1 is decided exactly, higher dimensions are never
-declared surjective, only NONSURJECTIVE (with an orphan certificate) or
-UNKNOWN (with the cleared frontier).
+below 1 is a nonsurjectivity signal.  The threshold search locates,
+inside a finite box, the least size beyond which the loss provably
+dominates the boundary excess plus a constant.  Verdicts respect the
+decidability split: dimension 1 is decided exactly; higher dimensions
+are never declared surjective, only NONSURJECTIVE (an orphan from a scan
+that computes each box's E+N once) or UNKNOWN (the cleared frontier).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .ca import CellularAutomaton, RightPolytope, _integers, minkowski_sum
+from .ca import CellularAutomaton, _integers
 from .counting import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     OrphanCertificate,
     OutRecord,
+    _enumeration_cells,
+    _orphan,
     decide_surjectivity_1d,
-    find_orphan,
     out_sizes,
 )
 from .subadditive import (
@@ -305,7 +307,13 @@ class SurjectivityVerdict:
 
 
 def _boxes_by_volume(dim: int, max_side: int):
-    return sorted(_grid(MultiIndex._trusted((max_side,) * dim)), key=lambda b: (b.volume, b))
+    """The grid of sides up to max_side in (volume, box) order, one volume
+    at a time: a volume's boxes come in lexicographic order."""
+    for volume in range(1, max_side**dim + 1):
+        for head in itertools.product(range(1, max_side + 1), repeat=dim - 1):
+            last, rest = divmod(volume, math.prod(head))
+            if not rest and last <= max_side:
+                yield MultiIndex._trusted((*head, last))
 
 
 def surjectivity_report(
@@ -317,7 +325,8 @@ def surjectivity_report(
     Dimension >= 2: scan box sizes in volume order looking for an
     orphan, spending at most `budget` enumerated inputs in total;
     surjectivity is never claimed, so exhausting the budget yields
-    UNKNOWN with the cleared sizes.
+    UNKNOWN with the cleared sizes.  One E+N per box prices and enumerates
+    it; a box whose codes pass the 63-bit width raises that refusal.
     """
     if ca.dimension == 1:
         try:
@@ -333,25 +342,17 @@ def surjectivity_report(
     remaining = budget
     cleared: list[MultiIndex] = []
     for sides in _boxes_by_volume(ca.dimension, _SCAN_MAX_SIDE):
-        cells = minkowski_sum(RightPolytope(sides), ca.neighborhood)
-        cost = ca.state_count ** len(cells)
-        if cost > remaining:
-            return SurjectivityVerdict(
-                status=VerdictStatus.UNKNOWN,
-                cleared=tuple(cleared),
-                note=(
-                    f"budget exhausted at size {tuple(sides)} "
-                    f"(cost {cost} > remaining {remaining})"
-                ),
-            )
-        cert = find_orphan(ca, sides, budget=remaining)
-        remaining -= cost
-        if cert is not None:
-            return SurjectivityVerdict(
-                status=VerdictStatus.NONSURJECTIVE,
-                certificate=cert,
-                cleared=tuple(cleared),
-            )
+        try:
+            E, cells = _enumeration_cells(ca, sides, remaining)
+        except BudgetExceeded as exc:
+            if exc.cost <= remaining:  # the code width, not the budget
+                raise
+            note = (f"budget exhausted at size {tuple(sides)} "
+                    f"(cost {exc.cost} > remaining {remaining})")
+            return SurjectivityVerdict(VerdictStatus.UNKNOWN, cleared=tuple(cleared), note=note)
+        if (cert := _orphan(ca, E, cells)) is not None:
+            return SurjectivityVerdict(VerdictStatus.NONSURJECTIVE, cert, tuple(cleared))
+        remaining -= ca.state_count ** len(cells)
         cleared.append(sides)
     return SurjectivityVerdict(
         status=VerdictStatus.UNKNOWN,

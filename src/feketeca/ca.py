@@ -12,7 +12,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .subadditive import MultiIndex, as_index
 
@@ -64,6 +67,14 @@ def _as_offset(vec, dim: int) -> Cell:
     return off
 
 
+def _as_origin(origin, dim: int) -> Cell:
+    """A box origin as ints of the box's dimension; None is the origin."""
+    origin = (0,) * dim if origin is None else _integers(origin, "origin")
+    if len(origin) != dim:
+        raise ValueError("origin and sides must have equal dimension")
+    return origin
+
+
 @dataclass(frozen=True)
 class CellularAutomaton:
     """dimension d, states 0..q-1, ordered neighbourhood offsets, rule table.
@@ -105,6 +116,12 @@ class CellularAutomaton:
     def neighborhood_size(self) -> int:
         return len(self.neighborhood)
 
+    @cached_property
+    def _rule_array(self) -> np.ndarray:
+        """The rule table as int64 of shape (q,) * |N|, built on first use."""
+        q = self.state_count
+        return np.asarray(self.rule_table, dtype=np.int64).reshape((q,) * self.neighborhood_size)
+
 @dataclass(frozen=True)
 class RightPolytope:
     """Product of integer intervals {origin_i, ..., origin_i + sides_i - 1}."""
@@ -114,14 +131,15 @@ class RightPolytope:
 
     def __post_init__(self):
         sides = as_index(self.sides)
-        origin = self.origin
-        if origin is None:
-            origin = (0,) * sides.dim
-        origin = _integers(origin, "origin")
-        if len(origin) != sides.dim:
-            raise ValueError("origin and sides must have equal dimension")
         object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "origin", _as_origin(self.origin, sides.dim))
+
+    @classmethod
+    def _trusted(cls, sides, origin: Cell | None = None) -> "RightPolytope":
+        """A box from sides and an origin (None: the origin) already validated."""
+        box = object.__new__(cls)
+        vars(box).update(sides=MultiIndex._trusted(sides), origin=origin or (0,) * len(sides))
+        return box
 
     @property
     def dim(self) -> int:
@@ -133,8 +151,7 @@ class RightPolytope:
 
     def cells(self) -> list[Cell]:
         """All cells in row-major order (last coordinate varies fastest)."""
-        ranges = [range(o, o + s) for o, s in zip(self.origin, self.sides)]
-        return list(itertools.product(*ranges))
+        return list(_shifted(self, (0,) * self.dim))
 
 
 @dataclass(frozen=True)
@@ -181,12 +198,17 @@ def minkowski_sum(E: RightPolytope, neighborhood: Iterable) -> tuple[Cell, ...]:
     the neighbourhood leave cells of the box untouched, and enumerating
     over them would multiply input counts by q per unused cell.
     """
-    offsets = [_as_offset(v, E.dim) for v in neighborhood]
-    # the union of E shifted by each offset, each shift a product of ranges
-    shifted = [
-        [range(o + v, o + v + s) for o, v, s in zip(E.origin, off, E.sides)] for off in offsets
-    ]
-    return tuple(sorted(set().union(*(itertools.product(*ranges) for ranges in shifted))))
+    return _minkowski(E, [_as_offset(v, E.dim) for v in neighborhood])
+
+
+def _shifted(E: RightPolytope, off: Cell):
+    """The cells of E + off, in E's row-major order."""
+    return itertools.product(*[range(o + v, o + v + s) for o, v, s in zip(E.origin, off, E.sides)])
+
+
+def _minkowski(E: RightPolytope, offsets) -> tuple[Cell, ...]:
+    """`minkowski_sum` for offsets already validated, as an automaton's are."""
+    return tuple(sorted({cell for off in offsets for cell in _shifted(E, off)}))
 
 
 def induced_map(ca: CellularAutomaton, E: RightPolytope, inputs) -> Pattern:
@@ -202,11 +224,8 @@ def induced_map(ca: CellularAutomaton, E: RightPolytope, inputs) -> Pattern:
     q = ca.state_count
     if any(not 0 <= s < q for s in inputs.values()):
         raise ValueError(f"input states must lie in 0..{q - 1}")
-    out = []
-    for cell in E.cells():
-        args = [inputs[tuple(c + v for c, v in zip(cell, off))] for off in ca.neighborhood]
-        out.append(ca.rule_table[encode_states(args, q)])
-    return Pattern(E, tuple(out))
+    reads = zip(*(map(inputs.__getitem__, _shifted(E, off)) for off in ca.neighborhood))
+    return Pattern(E, tuple(ca.rule_table[encode_states(args, q)] for args in reads))
 
 
 _BUILTINS = {

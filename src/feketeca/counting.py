@@ -19,7 +19,9 @@ can produce on a box):
   over the dropped cells), which is exact because E' <= E gives
   E'+N <= E+N.  The bitmap takes q^volume bytes, at most q^|E+N| and so
   at most the budget, and is allocated only after the budget check
-  passes; one is alive at a time, plus its smaller restrictions;
+  passes; one is alive at a time, plus its smaller restrictions.  The
+  E+N that the budget check computes is the one enumerated, so each box
+  computes it once (twice more when split into halves);
 * a 1D subset DFA: the sliding-window structure gives an edge-labelled
   de Bruijn graph whose label words are exactly the reachable patterns.
   `_SubsetDFA` determinizes it lazily, numbering subsets in the
@@ -30,7 +32,8 @@ can produce on a box):
   subset set (only the last plan is kept; the live set settles within a
   few lengths).  The surjectivity decision walks the same numbering: an
   orphan word exists iff the empty subset is reached, and the word is
-  read back through the parent steps.
+  read back through the parent steps.  The vertex table, q^(2m-1) bits
+  for span m, is priced first and refused past `_TABLE_BITS`.
 
 `out_sizes` is the one place that picks the route: the DFA in dimension
 1, brute force in higher dimensions or when the DFA refuses.  The two
@@ -47,12 +50,13 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .ca import CellularAutomaton, Pattern, RightPolytope, decode_states, minkowski_sum
-from .subadditive import MultiIndex, as_index, leq_pi
+from .ca import CellularAutomaton, Pattern, RightPolytope, decode_states
+from .ca import _as_origin, _minkowski, _shifted
+from .subadditive import MultiIndex, as_index
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -71,6 +75,9 @@ DEFAULT_BUDGET = 1 << 30
 
 # Most inputs one chunk of the enumeration holds.
 _CHUNK = 1 << 20
+
+# Most bits the 1D subset DFA's target masks take: 2^30 bytes.
+_TABLE_BITS = 1 << 33
 
 # Fewest inputs, q^|E+N|, at which a box is enumerated as two halves
 # joined over their shared cells; below it, whole is faster.
@@ -154,9 +161,9 @@ class OrphanCertificate:
 def _enumeration_cells(
     ca: CellularAutomaton, sides: MultiIndex, budget: int, origin=None
 ) -> tuple[RightPolytope, tuple]:
-    """(box, exact E+N cells) when enumerating the box fits; else refuse."""
-    E = RightPolytope(sides, origin)
-    cells = minkowski_sum(E, ca.neighborhood)
+    """(box, exact E+N cells) of validated sides and origin when enumerating fits; else refuse."""
+    E = RightPolytope._trusted(sides, origin)
+    cells = _minkowski(E, ca.neighborhood)
     q = ca.state_count
     L = len(cells)
     cost = q**L
@@ -200,22 +207,20 @@ def _image_bitmap(
     """
     q = ca.state_count
     L = len(cells)
-    cut = next((k for k, s in enumerate(E.sides) if s > 1), None)
-    if q**L >= _SPLIT_FLOOR and cut is not None:
+    cut = next((k for k, s in enumerate(E.sides) if s > 1), None) if q**L >= _SPLIT_FLOOR else None
+    if cut is not None:
         side = E.sides[cut]
         halves = [
-            RightPolytope(
+            RightPolytope._trusted(
                 E.sides[:cut] + (n,) + E.sides[cut + 1:],
                 E.origin[:cut] + (E.origin[cut] + at,) + E.origin[cut + 1:],
             )
             for at, n in ((0, side // 2), (side // 2, side - side // 2))
         ]
-        c1, c2 = (minkowski_sum(half, ca.neighborhood) for half in halves)
+        c1, c2 = (_minkowski(half, ca.neighborhood) for half in halves)
         band = tuple(sorted(set(c1).intersection(c2)))
         if all(q ** (len(band) + half.volume) <= 1 << 62 for half in halves):
-            (A, n1), (Bm, n2) = (
-                _enumerate(ca, c, band, half) for c, half in zip((c1, c2), halves)
-            )
+            (A, n1), (Bm, n2) = (_enumerate(ca, c, band, h) for c, h in zip((c1, c2), halves))
             rows = q ** len(band)
             return _join(A.reshape(rows, -1), Bm.reshape(rows, -1)), f"cells={L},chunks={n1 + n2}"
     seen, chunks = _enumerate(ca, cells, (), E)
@@ -238,32 +243,25 @@ def _enumerate(
     """
     q = ca.state_count
     L = len(cells)
-    free = 0
-    while free < L and q ** (free + 1) <= _CHUNK:
-        free += 1
-    lead = L - free
-    states = np.arange(q, dtype=np.int64)
-    axes = [states.reshape((q,) + (1,) * k) for k in range(free)]
-    pos = {c: i for i, c in enumerate(cells)}
-    rule = np.asarray(ca.rule_table, dtype=np.int64).reshape((q,) * ca.neighborhood_size)
-    # per digit: the cells it reads and its table; an input digit reads
-    # its one cell through the identity table
-    digits = [((pos[c],), states) for c in band] + [
-        (tuple(pos[tuple(map(operator.add, cell, off))] for off in ca.neighborhood), rule)
-        for cell in E.cells()
-    ]
-    width = len(digits)
-    # per digit: last cell read, table scaled by the code weight, and its
-    # index, whose leading-cell entries each chunk fills in
+    axes = _axes(q, _CHUNK)
+    lead = max(L - len(axes), 0)
+    at = (0,) * lead + axes[:L - lead]  # per cell: its axis, or 0 (its state per chunk)
+    pos = dict(zip(cells, range(L)))
+    # per digit, the cells it reads and its table scaled by its code weight:
+    # an input digit reads its one cell through the identity table
+    reads_of = [(pos[c],) for c in band]
+    reads_of += zip(*(map(pos.__getitem__, _shifted(E, off)) for off in ca.neighborhood))
+    weight = q ** np.arange(len(reads_of) - 1, -1, -1, dtype=np.int64)
+    tables = [*(np.arange(q, dtype=np.int64) * weight[:len(band), None] if band else ())]
+    tables.extend(ca._rule_array * weight[len(band):].reshape((-1,) + (1,) * len(ca.neighborhood)))
+    # per digit: last cell read, table and index (leading cells filled in per chunk)
     reads = []
-    for j, (args, table) in enumerate(digits):
-        table = table * q ** (width - 1 - j)
-        index = [axes[p - lead] if p >= lead else 0 for p in args]
-        fixed = [(i, p) for i, p in enumerate(args) if p < lead]
-        reads.append((max(args), table, index, fixed))
+    for args, table in zip(reads_of, tables):
+        fixed = [(i, p) for i, p in enumerate(args) if p < lead] if lead else ()
+        reads.append((max(args), table, [*map(at.__getitem__, args)], fixed))
     reads.sort(key=operator.itemgetter(0))
 
-    seen = np.zeros(q**width, dtype=bool)
+    seen = np.zeros(q ** len(reads_of), dtype=bool)
     chunks = q**lead
     for chunk in range(chunks):
         lead_states = decode_states(chunk, lead, q)
@@ -274,6 +272,14 @@ def _enumerate(
             code = code + table[tuple(index)]
         seen[code] = True
     return seen, chunks
+
+
+@cache
+def _axes(q: int, chunk: int) -> tuple[np.ndarray, ...]:
+    """For the k-th of the most cells a chunk holds, the states 0..q-1 along
+    broadcast axis -1-k (shared: read only)."""
+    free = next(k for k in range(chunk.bit_length()) if q ** (k + 1) > chunk)
+    return tuple(np.arange(q, dtype=np.int64).reshape((q,) + (1,) * k) for k in range(free))
 
 
 def _join(A: np.ndarray, Bm: np.ndarray) -> np.ndarray:
@@ -337,6 +343,7 @@ def out_sizes_bruteforce(
     container bitmap is alive at a time.
     """
     boxes = [as_index(s, ca.dimension) for s in sides_list]
+    origin = _as_origin(origin, ca.dimension)
     results: list[OutRecord | BudgetExceeded | None] = [None] * len(boxes)
     groups: dict[int, list[int]] = {}  # container -> the boxes read off it
     enumerated = {}  # container -> its box and E+N cells from the budget check
@@ -350,7 +357,7 @@ def out_sizes_bruteforce(
             # frees (at the bench's pass rate, +1 MB of peak memory)
             results[i] = exc.with_traceback(None)
             continue
-        home = next((c for c in groups if leq_pi(boxes[i], boxes[c])), i)
+        home = next((c for c in groups if all(map(operator.le, boxes[i], boxes[c]))), i)
         if home == i:
             enumerated[i] = found
         groups.setdefault(home, []).append(i)
@@ -375,7 +382,7 @@ def _read_group(
     records = []
     for sides in boxes:
         # nested boxes come in turn: read each off the one before
-        if not leq_pi(sides, last):
+        if not all(map(operator.le, sides, last)):
             last, last_seen = container, seen
         last, last_seen = sides, _restrict(last_seen, last, sides, q)
         records.append(
@@ -399,13 +406,17 @@ def find_orphan(
     `out_sizes_bruteforce`, when q^|E+N| exceeds the budget.
     """
     sides = as_index(sides, ca.dimension)
-    E, cells = _enumeration_cells(ca, sides, budget, origin)
+    return _orphan(ca, *_enumeration_cells(ca, sides, budget, _as_origin(origin, sides.dim)))
+
+
+def _orphan(ca: CellularAutomaton, E: RightPolytope, cells: tuple) -> OrphanCertificate | None:
+    """The canonical-code-minimal pattern on E that no input on its E+N
+    `cells` reaches, read off the image bitmap; None if there is none."""
     seen, _ = _image_bitmap(ca, E, cells)
-    if seen.all():
-        return None
     missing = int(seen.argmin())
-    pattern = Pattern.from_code(E, missing, ca.state_count)
-    return OrphanCertificate(sides=sides, pattern=pattern)
+    if seen[missing]:
+        return None
+    return OrphanCertificate(sides=E.sides, pattern=Pattern.from_code(E, missing, ca.state_count))
 
 
 class _SubsetDFA:
@@ -419,7 +430,9 @@ class _SubsetDFA:
     it and records in `parent` the step that did, as id * q + label in
     one machine word (-1 for the full set), and -1 stands for the empty
     subset.  Both callers step ids in increasing order with labels
-    ascending, so ids are breadth-first order.
+    ascending, so ids are breadth-first order.  The table of target masks
+    takes q^(2m-1) bits; past `_TABLE_BITS` the constructor refuses
+    before anything is allocated.
     """
 
     def __init__(self, ca: CellularAutomaton):
@@ -427,6 +440,9 @@ class _SubsetDFA:
         mn = min(offs)
         m = max(offs) - mn + 1
         q = ca.state_count
+        if (bits := q ** (2 * m - 1)) > _TABLE_BITS:  # q^(m-1) vertices x q labels x q^(m-1) bits
+            msg = f"subset DFA vertex table needs {_decimal(bits)} bits of target masks"
+            raise BudgetExceeded(f"{msg}, cap is {_TABLE_BITS}", cost=bits)
         nb = ca.neighborhood_size
         win = np.arange(q**m, dtype=np.int64)
         idx = sum(
@@ -477,7 +493,8 @@ def out_size_transfer_1d(
     turns a length into one `np.add.reduceat(counts[gather], starts)`;
     only the last plan is kept, rebuilt when the live set changes, and
     the live set settles within a few lengths.  Refuses if the live
-    subset count ever exceeds max_subsets.
+    subset count ever exceeds max_subsets, or when the DFA's vertex table
+    would pass `_TABLE_BITS`.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
@@ -555,7 +572,8 @@ def decide_surjectivity_1d(
     subset is reachable.  Labels are tried in ascending order, so the
     word read back through `parent` to the first empty step is the
     lexicographically least orphan word of minimal length.  Refuses once
-    more than max_subsets subsets have been reached.
+    more than max_subsets subsets have been reached, or when the DFA's
+    vertex table would pass `_TABLE_BITS`.
     """
     if ca.dimension != 1:
         raise ValueError("the exact decision procedure requires dimension 1")

@@ -319,16 +319,17 @@ def check_subadditivity_on_table(
     except OverflowError:
         big = tuple(next(k for k in keys if max(k) >= 1 << 63))
         raise ValueError(f"the table check needs coordinates below 2^63, got {big}") from None
-    violations = [
+    violations = [] if multiplicative else [  # positive ints were checked above
         Violation("negative", -1, keys[i], 0, vals[i].item(), 0.0)
         for i in np.flatnonzero(vals < 0)
     ]
     found = []  # (x key index, axis, y, lhs, rhs) arrays, one per block with a hit
     for axis in range(coords.shape[1]):
-        rest = np.delete(coords, axis, axis=1)
+        rest = coords[:, np.arange(coords.shape[1]) != axis]
         order = np.lexsort((coords[:, axis], *rest.T))  # by line, then position
-        cuts = np.flatnonzero((np.diff(rest[order], axis=0) != 0).any(axis=1)) + 1
-        for idx in np.split(order, cuts):
+        rest = rest[order]
+        cuts = [0, *np.flatnonzero((rest[1:] != rest[:-1]).any(axis=1)) + 1, len(order)]
+        for idx in (order[a:b] for a, b in zip(cuts, cuts[1:]) if b - a > 1):  # lines of 2+ keys
             pos, val = coords[idx, axis], vals[idx]
             block = max(1, _PAIR_BLOCK // len(pos))
             for r0 in range(0, len(pos) - 1, block):

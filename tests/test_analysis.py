@@ -9,21 +9,26 @@ from feketeca import (
     BudgetExceeded,
     CellularAutomaton,
     MultiIndex,
+    RightPolytope,
+    SurjectivityVerdict,
     VerdictStatus,
     Violation,
     analysis,
     boundary_excess,
+    counting,
     diagonal_schedule,
     excess_ratio_threshold,
     find_orphan,
     lambda_estimate,
     log_base,
     minimal_upward_threshold,
+    minkowski_sum,
     out_size_transfer_1d,
     out_sizes_bruteforce,
     surjectivity_report,
     theorem2_threshold,
 )
+from feketeca.subadditive import _grid
 
 import oracles
 
@@ -333,3 +338,93 @@ class TestVerdicts:
             assert out_sizes_bruteforce(shift, [n])[0].lambda_qits == 0.0
         losses = [out_sizes_bruteforce(and1d, [n])[0].lambda_qits for n in range(1, 9)]
         assert any(l > 0 for l in losses)
+
+
+def _scan_reference(ca, budget):
+    """The d >= 2 orphan scan as it was before it priced each box from one
+    E+N: the grid sorted by (volume, box), the cost from `minkowski_sum`,
+    then `find_orphan` under the remaining budget."""
+    grid = _grid(MultiIndex((analysis._SCAN_MAX_SIDE,) * ca.dimension))
+    remaining = budget
+    cleared = []
+    for sides in sorted(grid, key=lambda b: (b.volume, b)):
+        cells = minkowski_sum(RightPolytope(sides), ca.neighborhood)
+        cost = ca.state_count ** len(cells)
+        if cost > remaining:
+            return SurjectivityVerdict(
+                status=VerdictStatus.UNKNOWN,
+                cleared=tuple(cleared),
+                note=f"budget exhausted at size {tuple(sides)} (cost {cost} > remaining {remaining})",
+            )
+        cert = find_orphan(ca, sides, budget=remaining)
+        remaining -= cost
+        if cert is not None:
+            return SurjectivityVerdict(
+                status=VerdictStatus.NONSURJECTIVE, certificate=cert, cleared=tuple(cleared)
+            )
+        cleared.append(sides)
+    raise AssertionError("budgets here stop the scan long before side 12")
+
+
+@st.composite
+def scan_case(draw):
+    """(automaton, budget): a 2D or 3D rule of q 2-3 and 1-4 distinct
+    offsets within 2 of the origin (so negative and gapped), with a budget
+    of 2^6 to 2^16 inputs, so scans stop part-way and some find orphans."""
+    d = draw(st.sampled_from([2, 3]))
+    q = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 4))
+    offsets = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=k, max_size=k, unique=True)
+    )
+    rng = draw(st.randoms(use_true_random=False))
+    skew = draw(st.sampled_from([0.0, 0.5, 0.75]))  # towards state 0: orphans come early
+    table = [0 if rng.random() < skew else rng.randrange(q) for _ in range(q**k)]
+    return CellularAutomaton(d, q, tuple(offsets), table), 1 << draw(st.integers(6, 16))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scan_case())
+def test_scan_matches_the_reference_scan(case):
+    ca, budget = case
+    assert surjectivity_report(ca, budget=budget) == _scan_reference(ca, budget)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lazy_volume_order_is_the_sorted_grid(dim):
+    grid = _grid(MultiIndex((12,) * dim))
+    assert list(analysis._boxes_by_volume(dim, 12)) == sorted(grid, key=lambda b: (b.volume, b))
+
+
+@pytest.mark.parametrize("name, budget", [("and2d", 1 << 30), ("shift2d", 1 << 20)])
+def test_scan_computes_each_e_plus_n_once(name, budget, and2d, monkeypatch):
+    """One E+N per scanned box, plus one per half of a box enumerated in two."""
+    ca = and2d if name == "and2d" else CellularAutomaton(2, 2, ((1, 0),), (0, 1))
+    calls = []
+    real = counting._minkowski
+    monkeypatch.setattr(counting, "_minkowski", lambda E, offs: calls.append(E) or real(E, offs))
+    v = surjectivity_report(ca, budget=budget)
+    # the cleared boxes, then the one that held the orphan or was refused
+    scanned = list(itertools.islice(analysis._boxes_by_volume(2, 12), len(v.cleared) + 1))
+    assert scanned[:-1] == list(v.cleared)
+    enumerated = scanned if v.certificate else scanned[:-1]
+    split = [
+        b for b in enumerated
+        if max(b) > 1
+        and ca.state_count ** len(minkowski_sum(RightPolytope(b), ca.neighborhood))
+        >= counting._SPLIT_FLOOR
+    ]
+    assert len(calls) == len(scanned) + 2 * len(split)
+    assert split or name == "and2d"
+
+
+def test_scan_raises_a_code_width_refusal(and2d, monkeypatch):
+    """A refusal that costs no more than the remaining budget is the 63-bit
+    code width, not the budget: the scan raises it instead of a verdict."""
+
+    def too_wide(ca, sides, budget, origin=None):
+        raise BudgetExceeded("output codes exceed the 63-bit code width", cost=budget)
+
+    monkeypatch.setattr(analysis, "_enumeration_cells", too_wide)
+    with pytest.raises(BudgetExceeded, match="code width"):
+        surjectivity_report(and2d, budget=100)

@@ -144,3 +144,10 @@ class TestInducedMap:
         assert induced_map(and2d, E, inputs).cells == (1,)
         inputs[(0, 1)] = 0
         assert induced_map(and2d, E, inputs).cells == (0,)
+
+
+def test_public_minkowski_sum_refuses_float_offsets():
+    with pytest.raises(ValueError, match=r"^offset entry 0 is 0\.5, not an integer$"):
+        minkowski_sum(RightPolytope(MultiIndex((2,))), [(0.5,)])
+    with pytest.raises(ValueError, match=r"does not have dimension 2"):
+        minkowski_sum(RightPolytope(MultiIndex((2, 2))), [(0,)])

@@ -240,6 +240,24 @@ class TestOutTable:
         assert cli.main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: subset construction refused\n")
 
+    def test_unpriceable_subset_table(self, describe, capsys):
+        # span 20: 2^39 bits of target masks, over the subset DFA's cap
+        path = describe(
+            "span20",
+            {"dimension": 1, "states": 2, "neighborhood": [0, 19], "rule": {"table": [0, 1, 1, 0]}},
+        )
+        assert cli.main(["out-table", path, "--max-sides", "1"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "1,2,2,1,0,ok"
+        assert cli.main(["decide", path]) == EXIT_UNKNOWN
+        assert "note: decision refused: subset DFA vertex table needs" in capsys.readouterr().out
+        argv = ["out-table", path, "--max-sides", "1", "--method", "transfer"]
+        assert cli.main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "",
+            "error: subset DFA vertex table needs 549755813888 bits of target masks, "
+            "cap is 8589934592\n",
+        )
+
     @pytest.mark.parametrize(
         "name, extra, top, rows",
         [

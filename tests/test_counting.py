@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,35 @@ class TestOutSizes:
         assert recs[0] == out_sizes_bruteforce(and1d, [3])[0]
         assert isinstance(recs[1], BudgetExceeded)
         assert recs[1].cost == 2**41
+
+
+class TestSubsetTablePrice:
+    """The 1D subset DFA's vertex table, q^(m-1) vertices by q labels of
+    q^(m-1)-bit masks, is priced before anything of it is built."""
+
+    def test_span_24_is_refused_before_the_table_is_built(self):
+        ca = CellularAutomaton(1, 2, ((0,), (23,)), (0, 1, 1, 0))
+        tracemalloc.start()
+        try:
+            (rec,) = out_sizes(ca, [1])
+            with pytest.raises(BudgetExceeded) as refused:
+                decide_surjectivity_1d(ca)
+            with pytest.raises(BudgetExceeded):
+                out_size_transfer_1d(ca, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the window array alone would take q^m * 8 = 2^27 bytes
+        assert peak < 1 << 20
+        assert refused.value.cost == 2**47
+        assert (rec.out_size, rec.full_size, rec.method) == (2, 2, "bruteforce")
+
+    def test_the_cap_admits_a_table_of_exactly_its_size(self, and1d, monkeypatch):
+        monkeypatch.setattr(counting, "_TABLE_BITS", 2**3)  # span 2: 2 vertices x 2 labels x 2 bits
+        assert decide_surjectivity_1d(and1d).pattern.cells == (1, 0, 1)
+        monkeypatch.setattr(counting, "_TABLE_BITS", 2**3 - 1)
+        with pytest.raises(BudgetExceeded, match=r"needs 8 bits .* cap is 7$"):
+            decide_surjectivity_1d(and1d)
 
 
 class TestCrossMethod:
