@@ -5,7 +5,6 @@
 
 from feketeca import (
     diagonal_schedule,
-    excess_ratio_threshold,
     lambda_estimate,
     make_builtin,
     out_size_transfer_1d,
@@ -31,40 +30,32 @@ est = lambda_estimate(and2d, diagonal_schedule(2, 3))
 print(f"and2d  lambda upper bound from (3,3): {est.bracket[1]:.6f}")
 
 ####
-# 2. boundary growth: the excess (x+r1)(y+r2)-xy per unit volume dies
-#    off, and the finder locates where it drops below any epsilon
-####
-
-print()
-for eps in (0.5, 0.1, 0.02):
-    t = excess_ratio_threshold((1, 2), eps, (500, 500))
-    print(f"excess ratio < {eps}: from box {tuple(t)} on (within the 500x500 search)")
-
-####
-# 3. the threshold: beyond t, loss(n) >= boundary excess + K.  For AND
-#    with widths (2,) and K = 1 the right side is the constant 3, and the
-#    scan certifies every n between t and 64
+# 2. the threshold in 1D: one deficient count t proves loss(n) >= 3
+#    (boundary widths (2,), K = 1) for every n >= T, not only inside the
+#    search box.  Loss is superadditive, so loss(n) >= (n - t + 1) *
+#    loss(t) / t, and that bound reaches 3 at T
 ####
 
 print()
 and1d = make_builtin("and1d")
-report = theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,))
-print(f"threshold t = {tuple(report.t)}  (delta = {report.delta}, "
-      f"observed lambda upper bound = {report.lambda_upper:.4f})")
-print(f"verified cells: {len(report.checked_region)}  re-checked: {report.verified}")
+report = theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,))
+t, T = report.t, report.T
+print(f"and1d: from t = {tuple(t.sides)} (Out = {t.out_size}, loss {t.lambda_qits:.4f}),"
+      f" loss >= 3 is proved for every box >= T = {tuple(T)}")
 
-out = {r.sides[0]: r.out_size for r in out_size_transfer_1d(and1d, 64)}
-import math
-n = report.t[0]
-print(f"loss at t: {n - math.log2(out[n]):.3f} >= 3;"
-      f" at 64: {64 - math.log2(out[64]):.3f}")
+# the proof is not tight: the exact counts reach loss 3 a little earlier
+out = {r.sides[0]: r.out_size for r in out_size_transfer_1d(and1d, 200)}
+first = min(n for n in range(1, 201) if all(2 ** (m - 3) >= out[m] for m in range(n, 201)))
+print(f"exact counts: loss >= 3 at every n from {first} to 200; at T the bound is"
+      f" {(T[0] - t.sides[0] + 1) * t.lambda_qits / t.sides[0]:.4f}")
 
-# with zero widths and K = 0 the inequality is just loss >= 0 and the
-# gate condition alone decides the threshold
-report0 = theorem2_threshold(and1d, K=0, r=(0,), delta=0.9, search_box=(64,))
-print(f"degenerate case r=(0,), K=0: t = {tuple(report0.t)}")
+####
+# 3. the threshold in 2D: widths (1, 1) and K = 0.  No box up to 2x2
+#    loses anything, but the 3x3 count does, and it proves the
+#    inequality on every box from (35, 35) on
+####
 
-# at desk scale the 2D variant honestly fails: the boundary excess is
-# still far larger than the loss a 3x3 table can witness
-report2d = theorem2_threshold(and2d, K=0, r=(1, 1), delta=None, search_box=(3, 3))
-print(f"and2d within (3,3): threshold found = {report2d.found}")
+print()
+report2d = theorem2_threshold(and2d, K=0, r=(1, 1), search_box=(3, 3))
+print(f"and2d: from t = {tuple(report2d.t.sides)} (Out = {report2d.t.out_size}),"
+      f" loss >= boundary excess is proved for every box >= T = {tuple(report2d.T)}")

@@ -14,7 +14,6 @@ from .subadditive import (
     decomposition_bound,
     diagonal_schedule,
     geometric_schedule,
-    leq_pi,
     running_infimum,
     subadditivity_triple_count,
 )
@@ -47,9 +46,7 @@ from .analysis import (
     ThresholdReport,
     VerdictStatus,
     boundary_excess,
-    excess_ratio_threshold,
     lambda_estimate,
-    minimal_upward_threshold,
     surjectivity_report,
     theorem2_threshold,
 )
@@ -57,7 +54,7 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiIndex", "as_index", "leq_pi", "SubadditiveFn", "Violation",
+    "MultiIndex", "as_index", "SubadditiveFn", "Violation",
     "FeketeEstimate", "subadditivity_triple_count", "check_subadditivity",
     "check_subadditivity_on_table", "running_infimum", "decomposition_bound",
     "diagonal_schedule", "geometric_schedule",
@@ -69,6 +66,5 @@ __all__ = [
     "decide_surjectivity_1d", "log_base",
     "LambdaEstimate", "ThresholdReport", "VerdictStatus",
     "SurjectivityVerdict", "lambda_estimate",
-    "boundary_excess", "minimal_upward_threshold", "excess_ratio_threshold",
-    "theorem2_threshold", "surjectivity_report",
+    "boundary_excess", "theorem2_threshold", "surjectivity_report",
 ]

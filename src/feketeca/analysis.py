@@ -5,16 +5,19 @@ Loss at a box is volume minus log_q(output size), measured in q-its
 beside `ratio` = log_q(output size)/volume.  The per-cell limit of the
 ratio is estimated by `running_infimum` over the records; it equals 1
 exactly when the automaton is surjective, so any certified upper bound
-below 1 is a nonsurjectivity signal.  The threshold search locates,
-inside a finite box, the least size beyond which the loss provably
-dominates the boundary excess plus a constant.  Verdicts respect the
-decidability split: dimension 1 is decided exactly; higher dimensions
-are never declared surjective, only NONSURJECTIVE (an orphan from a scan
-that computes each box's E+N once) or UNKNOWN (the cleared frontier).
+below 1 is a nonsurjectivity signal.  The threshold is a proof: the
+loss is superadditive along each axis, so one deficient count t, checked
+in integers at one diagonal box T, shows that the loss dominates the
+boundary excess plus an integer constant on every box from T on.
+Verdicts respect the decidability split: dimension 1 is decided
+exactly; higher dimensions are never declared surjective, only
+NONSURJECTIVE (an orphan from a scan that computes each box's E+N once)
+or UNKNOWN (the cleared frontier).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +42,6 @@ from .subadditive import (
     _grid,
     as_index,
     check_subadditivity_on_table,
-    leq_pi,
     running_infimum,
 )
 
@@ -50,8 +52,6 @@ __all__ = [
     "SurjectivityVerdict",
     "lambda_estimate",
     "boundary_excess",
-    "minimal_upward_threshold",
-    "excess_ratio_threshold",
     "theorem2_threshold",
     "surjectivity_report",
 ]
@@ -61,6 +61,10 @@ _SCAN_MAX_SIDE = 12
 
 # Sides up to this, and powers of two, are kept for lambda's exact check.
 _EXACT_CHECK_SIDE = 64
+
+# Most bits the powers of one exact threshold check may take; at this
+# size the larger power takes about 2 s on a 2-core x86 host.
+_CERTIFICATE_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,6 @@ class LambdaEstimate:
     records: tuple[OutRecord, ...]
     notes: tuple[str, ...] = ()
     subadditivity_violations: tuple[Violation, ...] = ()
-
-    @property
-    def partial(self) -> bool:
-        """True when some scheduled box was refused for budget."""
-        return bool(self.notes)
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -100,7 +99,7 @@ def lambda_estimate(
 
     Output sizes come from `out_sizes`, one record per distinct box in
     schedule order (first occurrence); boxes refused for budget are
-    skipped and the estimate marked partial.  `running_infimum` runs on
+    skipped, each named in `notes`.  `running_infimum` runs on
     the records' boxes with f = log_q(out), so its ratios are the
     records' own `ratio`s.  The exact counts are checked log-subadditive,
     Out(x + y) <= Out(x) * Out(y) in integers, by the multiplicative
@@ -153,135 +152,91 @@ def boundary_excess(x, r) -> int:
     return math.prod(xi + ri for xi, ri in zip(x, r)) - x.volume
 
 
-def minimal_upward_threshold(predicate, search_box) -> MultiIndex | None:
-    """Least box t such that the predicate holds at every x >= t in the box.
-
-    A cell qualifies when the predicate holds there and at every cell
-    above it in the box.  The qualifying set is upward closed, so its
-    minimal elements form an antichain; the lexicographically least
-    qualifying cell is returned, and it is minimal, since every cell
-    below it in the product order is lexicographically smaller.
-    Returns None when no cell qualifies.
-    """
-    box = as_index(search_box)
-    ok: dict[tuple, bool] = {}  # the predicate holds here and everywhere above
-    t = None
-    for cell in reversed(_grid(box)):
-        ok[cell] = predicate(cell) and all(
-            ok[cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]]
-            for axis in range(box.dim)
-            if cell[axis] < box[axis]
-        )
-        if ok[cell]:
-            t = cell
-    return t
-
-
-def excess_ratio_threshold(r, bound: float, search_box, K: float = 0.0):
-    """Least t with (boundary excess + K) / volume < bound above t in the box.
-
-    The ratio tends to 0 along the directed set for any fixed widths, so
-    for every positive bound a threshold exists once the box is large
-    enough; within a finite box the search may still fail (returns None).
-    """
-
-    def pred(x: MultiIndex) -> bool:
-        return (boundary_excess(x, r) + K) / x.volume < bound
-
-    return minimal_upward_threshold(pred, search_box)
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Verified region for the loss-dominates-boundary inequality.
+    """A proof that loss(x) >= boundary_excess(x, r) + K at every box x >= T.
 
-    Inside `checked_region` (every computed x above `t` in the search
-    box) both gate conditions held: ratio(x) <= delta and
-    (excess + K)/volume <= 1 - delta; together they force
-    loss(x) >= excess(x) + K, which `verified` re-checks literally.
+    Out(x + y) <= Out(x) * Out(y) along each axis, so the loss is
+    superadditive and, being nonnegative, monotone along each axis.  For
+    the counted box t that gives
+
+        loss(x) >= prod_j floor(x_j / t_j) * loss(t) >= A(x) * loss(t) / vol(t)
+
+    with A(x) = prod_j (x_j - t_j + 1), so the inequality holds wherever
+    C_t(x): A(x) * loss(t) >= vol(t) * (boundary_excess(x, r) + K).
+    Divided by vol(x), C_t's left side does not fall and its right side
+    does not rise in any x_j >= t_j - 1: C_t at T = (k, ..., k) holds at
+    every x >= T, with no upper limit.
     """
 
-    K: float
+    K: int
     r: tuple[int, ...]
-    delta: float
-    search_box: MultiIndex
-    found: bool
-    t: MultiIndex | None
-    checked_region: tuple[MultiIndex, ...]
-    verified: bool
-    lambda_upper: float
+    t: OutRecord
+    T: MultiIndex
+
+
+def _certifies(t: OutRecord, k: int, r, K: int) -> bool:
+    """C_t at (k, ..., k) for k >= max(t), in integers.
+
+    With loss(t) = vol(t) - log_q Out(t) and e = vol(t) * (A - excess - K),
+    C_t holds iff e >= 0 and q^e >= Out(t)^A.  The cost A * bits(Out(t))
+    bounds the powers built: it is priced before either, and past
+    `_CERTIFICATE_BITS` the check is refused.
+    """
+    A = math.prod(k - s + 1 for s in t.sides)
+    e = t.sides.volume * (A - boundary_excess((k,) * len(r), r) - K)
+    cost = A * t.out_size.bit_length()
+    if cost > _CERTIFICATE_BITS:
+        raise BudgetExceeded(
+            f"threshold check at side {k} needs {cost}-bit powers, cap is {_CERTIFICATE_BITS}",
+            cost=cost,
+        )
+    if e * (t.q.bit_length() - 1) >= cost:  # q^e >= 2^cost > Out(t)^A
+        return True
+    return e >= 0 and t.q**e >= t.out_size**A
 
 
 def theorem2_threshold(
-    ca: CellularAutomaton,
-    K: float,
-    r,
-    delta: float | None,
-    search_box,
-    budget: int = DEFAULT_BUDGET,
+    ca: CellularAutomaton, K: int, r, search_box, budget: int = DEFAULT_BUDGET
 ) -> ThresholdReport:
-    """Search a finite box for the loss-dominates-boundary threshold.
+    """Prove loss(x) >= boundary_excess(x, r) + K for every box x >= T.
 
     Counts on the cells of the search box come from `out_sizes`.  A
     refusal on any cell raises the search box's own `BudgetExceeded`:
     the cost q^|E+N| grows with the box, so refusals are upward closed
-    and the search box is refused whenever any cell is.  Only the region
-    actually verified is reported; nothing is extrapolated beyond the
-    search box.
-    The bound holds on the nonsurjective branch of the dichotomy, and
-    its evidence, in every dimension, is a deficient count (below q^volume)
-    among the box's own records: a surjective automaton has none
-    (Garden of Eden), so without one a ValueError is raised.  delta
-    defaults to midway between the observed upper bound on the per-cell
-    limit and 1.
+    and the search box is refused whenever any cell is.  Each deficient
+    count (below q^volume) can be `ThresholdReport`'s t: T is the least
+    diagonal box one of them proves, t the first such in row-major order.
+    A surjective automaton has none (Garden of Eden), so without one a
+    ValueError is raised.  K is an integer, so the check is exact.
     """
     search_box = as_index(search_box, ca.dimension)
     r = _integers(r, "boundary width")
-    if len(r) != ca.dimension or any(v < 0 for v in r):
-        raise ValueError("boundary widths must be nonnegative, one per axis")
+    boundary_excess(search_box, r)  # refuses widths of the wrong count or sign
+    (K,) = _integers((K,), "K")
     if K < 0:
         raise ValueError("K must be >= 0")
 
     records = out_sizes(ca, _grid(search_box), budget)
     if isinstance(records[-1], BudgetExceeded):  # the search box, last in the grid
         raise records[-1]
-    if all(rec.out_size == rec.full_size for rec in records):
+    deficient = [rec for rec in records if rec.out_size < rec.full_size]
+    if not deficient:
         raise ValueError(
             f"no deficient count in the search box: all {len(records)} counted "
             "boxes are full, so nothing shows the automaton is nonsurjective"
         )
 
-    by_box = {rec.sides: rec for rec in records}
-    lambda_upper = min(rec.ratio for rec in records)
-    if delta is None:
-        delta = (lambda_upper + 1.0) / 2.0
-    if not lambda_upper < delta < 1.0:
-        raise ValueError(
-            f"delta must lie strictly between the observed upper bound "
-            f"{lambda_upper:.6f} and 1, got {delta}"
-        )
+    def witness(k: int) -> OutRecord | None:
+        """The first deficient count, in row-major order, with C_t at (k, ..., k)."""
+        return next((t for t in deficient if max(t.sides) <= k and _certifies(t, k, r, K)), None)
 
-    def pred(x: MultiIndex) -> bool:
-        excess = (boundary_excess(x, r) + K) / x.volume
-        return by_box[x].ratio <= delta and excess <= 1.0 - delta
-
-    t = minimal_upward_threshold(pred, search_box)
-    if t is None:
-        return ThresholdReport(
-            K=K, r=r, delta=delta, search_box=search_box, found=False,
-            t=None, checked_region=(), verified=False, lambda_upper=lambda_upper,
-        )
-
-    region = tuple(sorted(x for x in by_box if leq_pi(t, x)))
-    verified = True
-    for x in region:
-        want = boundary_excess(x, r) + K
-        if by_box[x].lambda_qits < want - 1e-9 * max(1.0, abs(want)):
-            verified = False
-    return ThresholdReport(
-        K=K, r=r, delta=delta, search_box=search_box, found=True,
-        t=t, checked_region=region, verified=verified, lambda_upper=lambda_upper,
-    )
+    # C_t holding at k holds at every larger k: double, then bisect
+    hi = least = min(max(t.sides) for t in deficient)
+    while witness(hi) is None:
+        hi *= 2
+    k = bisect.bisect_left(range(hi + 1), True, lo=least, key=lambda k: witness(k) is not None)
+    return ThresholdReport(K=K, r=r, t=witness(k), T=MultiIndex._trusted((k,) * ca.dimension))
 
 
 class VerdictStatus(Enum):
@@ -343,14 +298,14 @@ def surjectivity_report(
     cleared: list[MultiIndex] = []
     for sides in _boxes_by_volume(ca.dimension, _SCAN_MAX_SIDE):
         try:
-            E, cells = _enumeration_cells(ca, sides, remaining)
+            E, cells, shifted = _enumeration_cells(ca, sides, remaining)
         except BudgetExceeded as exc:
             if exc.cost <= remaining:  # the code width, not the budget
                 raise
             note = (f"budget exhausted at size {tuple(sides)} "
                     f"(cost {exc.cost} > remaining {remaining})")
             return SurjectivityVerdict(VerdictStatus.UNKNOWN, cleared=tuple(cleared), note=note)
-        if (cert := _orphan(ca, E, cells)) is not None:
+        if (cert := _orphan(ca, E, cells, shifted)) is not None:
             return SurjectivityVerdict(VerdictStatus.NONSURJECTIVE, cert, tuple(cleared))
         remaining -= ca.state_count ** len(cells)
         cleared.append(sides)

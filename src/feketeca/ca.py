@@ -198,7 +198,7 @@ def minkowski_sum(E: RightPolytope, neighborhood: Iterable) -> tuple[Cell, ...]:
     the neighbourhood leave cells of the box untouched, and enumerating
     over them would multiply input counts by q per unused cell.
     """
-    return _minkowski(E, [_as_offset(v, E.dim) for v in neighborhood])
+    return _minkowski(E, [_as_offset(v, E.dim) for v in neighborhood])[0]
 
 
 def _shifted(E: RightPolytope, off: Cell):
@@ -206,9 +206,11 @@ def _shifted(E: RightPolytope, off: Cell):
     return itertools.product(*[range(o + v, o + v + s) for o, v, s in zip(E.origin, off, E.sides)])
 
 
-def _minkowski(E: RightPolytope, offsets) -> tuple[Cell, ...]:
-    """`minkowski_sum` for offsets already validated, as an automaton's are."""
-    return tuple(sorted({cell for off in offsets for cell in _shifted(E, off)}))
+def _minkowski(E: RightPolytope, offsets) -> tuple[tuple[Cell, ...], list[tuple[Cell, ...]]]:
+    """`minkowski_sum` for offsets already validated, as an automaton's are,
+    with the cells of E + off it unites, per offset in E's row-major order."""
+    reads = [tuple(_shifted(E, off)) for off in offsets]
+    return tuple(sorted(set().union(*reads))), reads
 
 
 def induced_map(ca: CellularAutomaton, E: RightPolytope, inputs) -> Pattern:

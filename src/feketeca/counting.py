@@ -55,7 +55,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .ca import CellularAutomaton, Pattern, RightPolytope, decode_states
-from .ca import _as_origin, _minkowski, _shifted
+from .ca import _as_origin, _minkowski
 from .subadditive import MultiIndex, as_index
 
 __all__ = [
@@ -99,7 +99,7 @@ def _decimal(n: int) -> str:
 
 
 class BudgetExceeded(Exception):
-    """Raised instead of returning a partial answer; carries the exact cost."""
+    """Raised instead of returning an incomplete answer; carries the exact cost."""
 
     def __init__(self, message: str, cost: int | None = None):
         super().__init__(message)
@@ -160,10 +160,11 @@ class OrphanCertificate:
 
 def _enumeration_cells(
     ca: CellularAutomaton, sides: MultiIndex, budget: int, origin=None
-) -> tuple[RightPolytope, tuple]:
-    """(box, exact E+N cells) of validated sides and origin when enumerating fits; else refuse."""
+) -> tuple[RightPolytope, tuple, list]:
+    """(box, exact E+N cells, per offset the cells of E + off) of validated
+    sides and origin when enumerating fits; else refuse."""
     E = RightPolytope._trusted(sides, origin)
-    cells = _minkowski(E, ca.neighborhood)
+    cells, shifted = _minkowski(E, ca.neighborhood)
     q = ca.state_count
     L = len(cells)
     cost = q**L
@@ -176,21 +177,21 @@ def _enumeration_cells(
         raise BudgetExceeded(
             f"output codes ({q}^{E.volume}) exceed the 63-bit code width", cost=cost
         )
-    return E, cells
+    return E, cells, shifted
 
 
 def _image_bitmap(
-    ca: CellularAutomaton, E: RightPolytope, cells: tuple
+    ca: CellularAutomaton, E: RightPolytope, cells: tuple, shifted: list
 ) -> tuple[np.ndarray, str]:
     """Bitmap over the q^volume output codes: True iff the pattern is reachable.
 
-    `_enumeration_cells` returns the box E with its exact E+N cells once
-    the budget allows.  From q^|E+N| = _SPLIT_FLOOR inputs on, the box is
-    cut at the middle of its first axis of side >= 2 into E1, the
-    row-major prefix, and E2, so a code is a * q^V2 + b for the codes a
-    on E1 and b on E2.  With c_i = E_i+N and the band B = c1 & c2, each
-    half is enumerated once into a bitmap over (band states, outputs), A
-    on E1 and Bm on E2, and
+    `_enumeration_cells` returns the box E with its exact E+N cells, and
+    per offset the cells of E + off, once the budget allows.  From
+    q^|E+N| = _SPLIT_FLOOR inputs on, the box is cut at the middle of its
+    first axis of side >= 2 into E1, the row-major prefix, and E2, so a
+    code is a * q^V2 + b for the codes a on E1 and b on E2.  With
+    c_i = E_i+N and the band B = c1 & c2, each half is enumerated once
+    into a bitmap over (band states, outputs), A on E1 and Bm on E2, and
 
         seen[a * q^V2 + b] = any over s of A[s, a] and Bm[s, b].
 
@@ -217,22 +218,23 @@ def _image_bitmap(
             )
             for at, n in ((0, side // 2), (side // 2, side - side // 2))
         ]
-        c1, c2 = (_minkowski(half, ca.neighborhood) for half in halves)
+        (c1, sh1), (c2, sh2) = (_minkowski(half, ca.neighborhood) for half in halves)
         band = tuple(sorted(set(c1).intersection(c2)))
         if all(q ** (len(band) + half.volume) <= 1 << 62 for half in halves):
-            (A, n1), (Bm, n2) = (_enumerate(ca, c, band, h) for c, h in zip((c1, c2), halves))
+            (A, n1), (Bm, n2) = (_enumerate(ca, c, band, sh) for c, sh in ((c1, sh1), (c2, sh2)))
             rows = q ** len(band)
             return _join(A.reshape(rows, -1), Bm.reshape(rows, -1)), f"cells={L},chunks={n1 + n2}"
-    seen, chunks = _enumerate(ca, cells, (), E)
+    seen, chunks = _enumerate(ca, cells, (), shifted)
     return seen, f"cells={L},chunks={chunks}"
 
 
 def _enumerate(
-    ca: CellularAutomaton, cells: tuple, band: tuple, E: RightPolytope
+    ca: CellularAutomaton, cells: tuple, band: tuple, shifted: list
 ) -> tuple[np.ndarray, int]:
     """(bitmap, chunks run) over codes whose digits are the input states of
     the `band` cells, then the outputs on E's cells in row-major order,
     enumerating every assignment of `cells` (which hold the band and E+N).
+    `shifted` holds, per offset, the cells of E + off in E's row-major order.
 
     The leading cells are fixed per chunk; each remaining cell is its own
     broadcast axis, so a digit's table index spans only the axes it
@@ -250,7 +252,7 @@ def _enumerate(
     # per digit, the cells it reads and its table scaled by its code weight:
     # an input digit reads its one cell through the identity table
     reads_of = [(pos[c],) for c in band]
-    reads_of += zip(*(map(pos.__getitem__, _shifted(E, off)) for off in ca.neighborhood))
+    reads_of += zip(*(map(pos.__getitem__, off_cells) for off_cells in shifted))
     weight = q ** np.arange(len(reads_of) - 1, -1, -1, dtype=np.int64)
     tables = [*(np.arange(q, dtype=np.int64) * weight[:len(band), None] if band else ())]
     tables.extend(ca._rule_array * weight[len(band):].reshape((-1,) + (1,) * len(ca.neighborhood)))
@@ -346,7 +348,7 @@ def out_sizes_bruteforce(
     origin = _as_origin(origin, ca.dimension)
     results: list[OutRecord | BudgetExceeded | None] = [None] * len(boxes)
     groups: dict[int, list[int]] = {}  # container -> the boxes read off it
-    enumerated = {}  # container -> its box and E+N cells from the budget check
+    enumerated = {}  # container -> its box, E+N cells and shifts from the budget check
     # a box's strict supersets have larger volume, so they come first
     for i in sorted(range(len(boxes)), key=lambda i: -boxes[i].volume):
         try:
@@ -369,14 +371,14 @@ def out_sizes_bruteforce(
 
 
 def _read_group(
-    ca: CellularAutomaton, E: RightPolytope, cells: tuple, boxes: list[MultiIndex]
+    ca: CellularAutomaton, E: RightPolytope, cells: tuple, shifted: list, boxes: list[MultiIndex]
 ) -> list[OutRecord]:
-    """Records of boxes inside the container E, whose E+N cells are given,
-    from one enumeration of it; its bitmap is freed on return, before the
-    next container is enumerated."""
+    """Records of boxes inside the container E, whose E+N cells and shifts
+    are given, from one enumeration of it; its bitmap is freed on return,
+    before the next container is enumerated."""
     q = ca.state_count
     container = E.sides
-    seen, detail = _image_bitmap(ca, E, cells)
+    seen, detail = _image_bitmap(ca, E, cells, shifted)
     source = "from=" + "x".join(map(str, container))
     last, last_seen = container, seen
     records = []
@@ -409,10 +411,12 @@ def find_orphan(
     return _orphan(ca, *_enumeration_cells(ca, sides, budget, _as_origin(origin, sides.dim)))
 
 
-def _orphan(ca: CellularAutomaton, E: RightPolytope, cells: tuple) -> OrphanCertificate | None:
+def _orphan(
+    ca: CellularAutomaton, E: RightPolytope, cells: tuple, shifted: list
+) -> OrphanCertificate | None:
     """The canonical-code-minimal pattern on E that no input on its E+N
     `cells` reaches, read off the image bitmap; None if there is none."""
-    seen, _ = _image_bitmap(ca, E, cells)
+    seen, _ = _image_bitmap(ca, E, cells, shifted)
     missing = int(seen.argmin())
     if seen[missing]:
         return None

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "MultiIndex",
     "as_index",
-    "leq_pi",
     "SubadditiveFn",
     "Violation",
     "FeketeEstimate",
@@ -54,9 +53,10 @@ DEFAULT_EXHAUSTIVE_LIMIT = 10**6
 class MultiIndex(tuple):
     """A d-tuple of positive integers: a box size, or a lattice point.
 
-    Under the product order (see `leq_pi`) these form a directed set: any
-    two indices of equal dimension have their coordinatewise maximum as a
-    common upper bound, even though for d >= 2 many pairs are incomparable.
+    Under the product order (x <= y iff x_i <= y_i for every i) these
+    form a directed set: any two indices of equal dimension have their
+    coordinatewise maximum as a common upper bound, even though for
+    d >= 2 many pairs are incomparable.
     """
 
     __slots__ = ()
@@ -96,13 +96,6 @@ def as_index(value, dim: int | None = None) -> MultiIndex:
 def _grid(box: MultiIndex) -> list[MultiIndex]:
     """Every box <= `box` in the product order, in row-major order."""
     return list(map(MultiIndex._trusted, itertools.product(*[range(1, s + 1) for s in box])))
-
-
-def leq_pi(x, y) -> bool:
-    """Product-order comparison: true iff x_i <= y_i for every coordinate."""
-    x = as_index(x)
-    y = as_index(y, x.dim)
-    return all(a <= b for a, b in zip(x, y))
 
 
 class SubadditiveFn:
@@ -375,7 +368,6 @@ class FeketeEstimate:
     ratios: tuple[float, ...]
     running_inf: float
     last_ratio: float
-    has_pi_maximum: bool
     tail_slope: float
 
     @property
@@ -387,10 +379,9 @@ class FeketeEstimate:
 def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     """Evaluate f over a schedule of boxes and track the infimum of ratios.
 
-    `last_ratio` is taken at the schedule's product-order maximum; when the
-    schedule has none (its coordinatewise maximum is absent), the
-    lexicographically last box is used instead and `has_pi_maximum` is
-    False.  f is evaluated once per distinct box.  The certified bound
+    `last_ratio` is taken at the lexicographically last box, which is the
+    schedule's product-order maximum whenever it has one.  f is evaluated
+    once per distinct box.  The certified bound
     at a base box is its entry of `ratios`: append the base to the
     schedule.  Subadditivity is the caller's to check; this records
     ratios, it does not verify the hypothesis.
@@ -404,7 +395,6 @@ def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     running_inf = min(ratios)
 
     last = max(boxes)  # the product-order maximum, when there is one
-    has_max = last == tuple(map(max, zip(*boxes)))
     last_ratio = values[last] / last.volume
 
     below = [b for b in boxes if b != last and all(map(operator.le, b, last))]
@@ -420,7 +410,6 @@ def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
         ratios=ratios,
         running_inf=running_inf,
         last_ratio=last_ratio,
-        has_pi_maximum=has_max,
         tail_slope=tail_slope,
     )
 

@@ -66,9 +66,9 @@ def enumerations(monkeypatch):
     calls = []
     real = counting._image_bitmap
 
-    def counted(ca, E, cells):
+    def counted(ca, E, cells, shifted):
         calls.append(tuple(E.sides))
-        return real(ca, E, cells)
+        return real(ca, E, cells, shifted)
 
     monkeypatch.setattr(counting, "_image_bitmap", counted)
     return calls

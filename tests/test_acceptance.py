@@ -127,13 +127,12 @@ def test_criterion_5_lambda_bracket(and1d):
 
 
 def test_criterion_6_threshold(and1d):
-    with _Timer(6, 30.0, "loss >= boundary+K beyond a threshold t <= 64"):
-        report = theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,))
-        assert report.found and report.verified
-        t = report.t[0]
-        assert t <= 64
+    with _Timer(6, 30.0, "loss >= boundary+K proved beyond a threshold T <= 64"):
+        report = theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,))
+        T = report.T[0]
+        assert T <= 64
         counts = oracles.and1d_recurrence(64)
-        for n in range(t, 65):
+        for n in range(T, 65):
             lam = n - math.log2(counts[n])
             assert lam >= (n + 2) - n + 1  # = 3
 

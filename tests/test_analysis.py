@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,9 @@ from feketeca import (
     boundary_excess,
     counting,
     diagonal_schedule,
-    excess_ratio_threshold,
     find_orphan,
     lambda_estimate,
     log_base,
-    minimal_upward_threshold,
     minkowski_sum,
     out_size_transfer_1d,
     out_sizes_bruteforce,
@@ -64,7 +63,7 @@ class TestLambdaEstimate:
         est = lambda_estimate(shift, diagonal_schedule(1, 50))
         assert est.bracket == (1.0, 1.0)
         assert not est.excludes_surjective
-        assert not est.partial
+        assert est.notes == ()
 
     def test_xor_bracket_is_one(self, xor1d):
         est = lambda_estimate(xor1d, diagonal_schedule(1, 50))
@@ -93,14 +92,13 @@ class TestLambdaEstimate:
 
     def test_partial_annotation_on_budget(self, and2d):
         est = lambda_estimate(and2d, [(2, 2), (5, 5)], budget=1 << 12)
-        assert est.partial
-        assert any("skipped" in n for n in est.notes)
+        assert len(est.notes) == 1 and est.notes[0].startswith("skipped (5, 5): ")
         assert est.records  # the feasible box still contributes
 
     def test_partial_only_when_a_box_is_skipped(self, and1d, refused_transfer):
         # brute force recovers every box the refused transfer would have given
         est = lambda_estimate(and1d, diagonal_schedule(1, 8))
-        assert not est.partial and est.notes == ()
+        assert est.notes == ()
         assert [r.out_size for r in est.records] == list(oracles.AND1D_OUT)
         assert {r.method for r in est.records} == {"bruteforce"}
 
@@ -159,38 +157,60 @@ class TestLambdaEstimate:
         assert abs(est.ratios[7] - math.log2(114) / 8) < 1e-12
 
 
-def _threshold_by_candidates(predicate, box):
-    """Reference for `minimal_upward_threshold`: mark the cells where the
-    predicate holds there and everywhere above, collect the marked cells
-    that have no marked cell one step below, and take the least."""
-    cells = list(itertools.product(*[range(1, s + 1) for s in box]))
-    ok = {}
-    for cell in reversed(cells):
-        good = predicate(MultiIndex(cell))
-        for axis in range(len(box)):
-            if cell[axis] < box[axis]:
-                good = good and ok[cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]]
-        ok[cell] = good
-    candidates = [
-        cell for cell in cells
-        if ok[cell]
-        and not any(
-            ok[down]
-            for axis in range(len(box)) if cell[axis] > 1
-            for down in [cell[:axis] + (cell[axis] - 1,) + cell[axis + 1:]]
-        )
-    ]
-    return MultiIndex(min(candidates)) if candidates else None
+def _condition(t, k, r, K):
+    """C_t at the diagonal box (k, ..., k), straight from its definition:
+    A * loss(t) >= vol(t) * (excess + K) with loss(t) = vol(t) - log_q Out(t),
+    times log q and exponentiated, so both sides are exact ints."""
+    A = math.prod(k - s + 1 for s in t.sides)
+    B = math.prod(k + w for w in r) - k ** len(r) + K
+    vol = t.sides.volume
+    return t.q ** (A * vol) >= t.out_size**A * t.q ** (vol * B)
+
+
+def _check_selection(rep, records):
+    """The report's t and T: C_t holds at T and fails at T - 1 (when that
+    box still holds t), every deficient box before t in row-major order
+    fails at T and every one after it fails at T - 1."""
+    k = rep.T[0]
+    assert set(rep.T) == {k} and k >= max(rep.t.sides)
+    assert rep.t.out_size < rep.t.full_size
+    assert _condition(rep.t, k, rep.r, rep.K)
+    assert k == max(rep.t.sides) or not _condition(rep.t, k - 1, rep.r, rep.K)
+    deficient = [rec for rec in records if rec.out_size < rec.full_size]
+    at = deficient.index(rep.t)
+    for i, other in enumerate(deficient):
+        side = k if i < at else k - 1
+        if i != at and side >= max(other.sides):
+            assert not _condition(other, side, rep.r, rep.K)
 
 
 @st.composite
-def bool_predicate(draw):
-    """A box of dimension 1-3 with sides <= 5 and a True/False answer for
-    each of its cells."""
-    box = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
-    cells = list(itertools.product(*[range(1, s + 1) for s in box]))
-    answers = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
-    return box, dict(zip(cells, answers))
+def threshold_case_1d(draw):
+    """(automaton, r, K): a 1D rule of q 2-3 with 1-3 distinct offsets in
+    -3..3 (so negative and gapped), a width r of 0-3 and K of 0-4."""
+    q = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True))
+    table = draw(st.lists(st.integers(0, q - 1), min_size=q**k, max_size=q**k))
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    return ca, (draw(st.integers(0, 3)),), draw(st.integers(0, 4))
+
+
+@st.composite
+def threshold_case_2d(draw):
+    """(automaton, r, K): a binary 2D rule of one offset in -1..1, or two
+    offsets one step apart along one axis (so the 5x5 box has at most 30
+    input cells), with a table skewed to state 0 so constant rules come
+    often, widths in {0, 1} and K of 0-2."""
+    first = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    offsets = [first]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, 1))
+        offsets.append(tuple(v + (j == axis) for j, v in enumerate(first)))
+    rng = draw(st.randoms(use_true_random=False))
+    table = [int(rng.random() < 0.25) for _ in range(2 ** len(offsets))]
+    ca = CellularAutomaton(2, 2, tuple(offsets), table)
+    return ca, draw(st.tuples(st.integers(0, 1), st.integers(0, 1))), draw(st.integers(0, 2))
 
 
 class TestThresholds:
@@ -200,106 +220,150 @@ class TestThresholds:
         with pytest.raises(ValueError):
             boundary_excess((3,), (-1,))
 
-    def test_minimal_upward_threshold_1d(self):
-        t = minimal_upward_threshold(lambda x: x[0] >= 5, (10,))
-        assert t == (5,)
-        t = minimal_upward_threshold(lambda x: False, (10,))
-        assert t is None
-
-    def test_minimal_upward_threshold_2d_antichain(self):
-        # qualifying set {x*y >= 6} has incomparable minimal elements;
-        # the lexicographically least is reported
-        t = minimal_upward_threshold(lambda x: x[0] * x[1] >= 6, (6, 6))
-        assert t == (1, 6)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(bool_predicate())
-    def test_minimal_upward_threshold_matches_the_candidate_search(self, case):
-        box, answers = case
-        assert minimal_upward_threshold(answers.__getitem__, box) == (
-            _threshold_by_candidates(answers.__getitem__, box)
-        )
-
-    def test_excess_ratio_threshold_shrinks_with_eps(self):
-        r = (1, 2)
-        for eps in (0.5, 0.1, 0.05):
-            t = excess_ratio_threshold(r, eps, (200, 200))
-            assert t is not None
-            # verify on a sweep above t within the box
-            for x1 in range(t[0], 201, 37):
-                for x2 in range(t[1], 201, 37):
-                    g = (x1 + 1) * (x2 + 2) / (x1 * x2)
-                    assert g < 1 + eps
-
     def test_and1d_threshold_constants(self, and1d):
-        rep = theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,))
-        assert rep.found and rep.verified
-        assert rep.t <= MultiIndex((64,))
-        out = {r_.sides[0]: r_.out_size for r_ in out_size_transfer_1d(and1d, 64)}
-        for n in range(rep.t[0], 65):
-            lam = n - math.log2(out[n])
-            assert lam >= 3.0  # (n+2) - n + 1
-        assert rep.checked_region[0] == rep.t
+        rep = theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,))
+        assert (rep.t.sides, rep.t.out_size, rep.T) == ((6,), 37, (28,))
+        _check_selection(rep, out_size_transfer_1d(and1d, 64))
+        counts = oracles.and1d_recurrence(400)
+        # loss(n) >= 3 from T on, well past the search box
+        assert all(2 ** (n - 3) >= counts[n] for n in range(28, 401))
+        assert 2 ** (27 - 3) >= counts[27]  # the proof is not tight: 27 holds too
 
     def test_and1d_zero_boundary_reduces_to_variety_condition(self, and1d):
-        rep = theorem2_threshold(and1d, K=0, r=(0,), delta=0.9, search_box=(64,))
-        # ratio(3) = log2(7)/3 > 0.9 but ratio(4) < 0.9 and stays below
-        assert rep.t == (4,)
-        assert rep.verified
+        # with excess + K = 0 any deficient count proves loss >= 0 at once,
+        # so T is the first deficient box: Out(3) = 7 < 8
+        rep = theorem2_threshold(and1d, K=0, r=(0,), search_box=(64,))
+        assert (rep.t.sides, rep.T) == ((3,), (3,))
 
     def test_transfer_refusal_falls_back_to_bruteforce(self, and1d, refused_transfer):
-        rep = theorem2_threshold(and1d, K=1, r=(1,), delta=0.85, search_box=(16,))
-        assert rep.found and rep.verified
-        assert rep.t == (14,) and rep.checked_region == ((14,), (15,), (16,))
-        # the least ratio in the box is the one at n = 16
-        assert abs(rep.lambda_upper - math.log2(oracles.and1d_recurrence(16)[16]) / 16) < 1e-12
+        rep = theorem2_threshold(and1d, K=1, r=(1,), search_box=(16,))
+        assert rep.t.method == "bruteforce"
+        assert rep.t.out_size == oracles.and1d_recurrence(16)[rep.t.sides[0]]
+        _check_selection(rep, out_sizes_bruteforce(and1d, range(1, 17)))
 
-    def test_delta_validation(self, and1d):
-        with pytest.raises(ValueError):
-            theorem2_threshold(and1d, K=1, r=(2,), delta=0.5, search_box=(64,))
-        with pytest.raises(ValueError):
-            theorem2_threshold(and1d, K=1, r=(2,), delta=1.0, search_box=(64,))
+    def test_constant_k_validation(self, and1d):
+        with pytest.raises(ValueError, match=r"K entry 0 is 0\.5, not an integer"):
+            theorem2_threshold(and1d, K=0.5, r=(2,), search_box=(64,))
+        with pytest.raises(ValueError, match="K must be >= 0"):
+            theorem2_threshold(and1d, K=-1, r=(2,), search_box=(64,))
 
     def test_surjective_rule_rejected(self, shift):
         with pytest.raises(ValueError):
-            theorem2_threshold(shift, K=1, r=(2,), delta=0.9, search_box=(20,))
+            theorem2_threshold(shift, K=1, r=(2,), search_box=(20,))
 
     def test_nonsurjectivity_comes_from_the_box_counts(self, and1d, monkeypatch):
-        want = theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,))
+        want = theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,))
 
         def refuse(ca, max_subsets=None):
             raise BudgetExceeded("subset search refused")
 
         monkeypatch.setattr(analysis, "decide_surjectivity_1d", refuse)
-        assert theorem2_threshold(and1d, K=1, r=(2,), delta=0.9, search_box=(64,)) == want
+        assert theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,)) == want
 
     def test_a_refused_cell_refuses_the_search(self, and2d):
         # the 4x4 box needs 2^24 inputs; its refusal is raised, not skipped
         with pytest.raises(BudgetExceeded) as refused:
-            theorem2_threshold(and2d, K=0, r=(0, 0), delta=0.99, search_box=(4, 4), budget=2**12)
+            theorem2_threshold(and2d, K=0, r=(0, 0), search_box=(4, 4), budget=2**12)
         assert refused.value.cost == 2**24
-        rep = theorem2_threshold(and2d, K=0, r=(0, 0), delta=0.99, search_box=(4, 4))
-        assert rep.t == (2, 3) and rep.verified
+        rep = theorem2_threshold(and2d, K=0, r=(0, 0), search_box=(4, 4))
+        assert (rep.t.sides, rep.T) == ((2, 3), (3, 3))
 
     def test_full_counts_are_no_evidence(self, and1d):
         # and1d is nonsurjective, but its counts 2 and 4 on sides 1 and 2 are full
         with pytest.raises(ValueError, match="deficient"):
-            theorem2_threshold(and1d, K=0, r=(0,), delta=None, search_box=(2,))
+            theorem2_threshold(and1d, K=0, r=(0,), search_box=(2,))
 
     def test_non_integer_boundary_width_is_refused(self, and1d):
         with pytest.raises(ValueError, match=r"boundary width entry 0 is 2\.9, not an integer"):
-            theorem2_threshold(and1d, K=1, r=(2.9,), delta=0.9, search_box=(64,))
+            theorem2_threshold(and1d, K=1, r=(2.9,), search_box=(64,))
+        with pytest.raises(ValueError, match="must match the box dimension"):
+            theorem2_threshold(and1d, K=1, r=(2, 2), search_box=(64,))
+        with pytest.raises(ValueError, match="must be >= 0"):
+            theorem2_threshold(and1d, K=1, r=(-1,), search_box=(64,))
 
     def test_and2d_desk_scale_honest_failure(self, and2d):
-        rep = theorem2_threshold(and2d, K=0, r=(1, 1), delta=None, search_box=(3, 3))
-        # boundary excess/volume is far above 1 - delta at these sizes
-        assert not rep.found
-        assert rep.t is None and rep.checked_region == ()
+        # every count up to 2x2 is full: no evidence, so no threshold
+        with pytest.raises(ValueError, match="deficient"):
+            theorem2_threshold(and2d, K=0, r=(1, 1), search_box=(2, 2))
 
-    def test_default_delta_sits_midway(self, and1d):
-        rep = theorem2_threshold(and1d, K=0, r=(1,), delta=None, search_box=(32,))
-        assert rep.lambda_upper < rep.delta < 1.0
-        assert abs(rep.delta - (rep.lambda_upper + 1) / 2) < 1e-12
+    def test_and2d_threshold_is_proved_for_every_larger_box(self, and2d):
+        rep = theorem2_threshold(and2d, K=0, r=(1, 1), search_box=(3, 3))
+        assert (rep.t.sides, rep.t.out_size, rep.T) == ((3, 3), 340, (35, 35))
+        _check_selection(rep, out_sizes_bruteforce(and2d, _grid(MultiIndex((3, 3)))))
+        records = out_sizes_bruteforce(and2d, _grid(MultiIndex((5, 4))))
+        rep = theorem2_threshold(and2d, K=0, r=(1, 1), search_box=(5, 4))
+        assert (rep.t.sides, rep.T) == ((5, 4), (24, 24))
+        _check_selection(rep, records)
+
+    def test_constant_rule_meets_the_bound_with_equality(self):
+        # Out = 1, so loss(t) = vol(t) and C_t at t = (1,) reads k >= r + K
+        const = CellularAutomaton(1, 2, ((0,),), (0, 0))
+        rep = theorem2_threshold(const, K=1, r=(2,), search_box=(4,))
+        assert (rep.t.sides, rep.T) == ((1,), (3,))
+        # at side 3, A * loss(t) = vol(t) * (excess + K) = 3: e = 0 and q^0 = Out(t)^A
+        assert _condition(rep.t, 3, rep.r, rep.K) and not _condition(rep.t, 2, rep.r, rep.K)
+        assert analysis._certifies(rep.t, 3, rep.r, rep.K)
+        assert not analysis._certifies(rep.t, 2, rep.r, rep.K)
+
+    def test_an_overpriced_check_is_refused_before_any_power(self, and1d, monkeypatch):
+        built = []  # bits of every power of a count or of q
+
+        class Watched(int):
+            def __pow__(self, exp, mod=None):
+                built.append(exp * self.bit_length())
+                return int(self) ** exp
+
+        real = analysis.out_sizes
+        monkeypatch.setattr(analysis, "out_sizes", lambda *args: [
+            replace(rec, out_size=Watched(rec.out_size), q=Watched(rec.q)) for rec in real(*args)
+        ])
+        monkeypatch.setattr(analysis, "_CERTIFICATE_BITS", 10)
+        with pytest.raises(BudgetExceeded, match="cap is 10") as refused:
+            theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,))
+        # Out(3) = 7 has 3 bits: A = 4 at side 6 prices 12 bits
+        assert refused.value.cost == 12
+        built.clear()
+        monkeypatch.setattr(analysis, "_CERTIFICATE_BITS", 1 << 24)
+        with pytest.raises(BudgetExceeded) as refused:  # loss >= 10^9 needs A near 10^10
+            theorem2_threshold(and1d, K=10**9, r=(2,), search_box=(64,))
+        assert refused.value.cost > 1 << 24
+        assert max(built, default=0) <= 1 << 24
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(threshold_case_1d())
+    def test_the_proved_threshold_holds_past_the_box_in_1d(self, case):
+        ca, r, K = case
+        try:
+            records = out_size_transfer_1d(ca, 12, max_subsets=1 << 10)
+            rep = theorem2_threshold(ca, K=K, r=r, search_box=(12,))
+        except BudgetExceeded:  # a subset blow-up: counting would dominate the test
+            return
+        except ValueError:  # no deficient count: nothing to prove
+            return
+        _check_selection(rep, records)
+        T = rep.T[0]
+        if T > 400:
+            return
+        q = ca.state_count
+        for rec in out_size_transfer_1d(ca, T + 100)[T - 1:]:
+            n = rec.sides[0]
+            assert q ** (n - r[0] - K) >= rec.out_size
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(threshold_case_2d())
+    def test_the_proved_threshold_holds_past_the_box_in_2d(self, case):
+        ca, r, K = case
+        try:
+            rep = theorem2_threshold(ca, K=K, r=r, search_box=(3, 3))
+        except ValueError:
+            return
+        _check_selection(rep, out_sizes_bruteforce(ca, _grid(MultiIndex((3, 3)))))
+        T = rep.T[0]
+        if T > 4:
+            return
+        boxes = [MultiIndex((a, b)) for a in range(T, 6) for b in range(T, 6)]
+        for x, rec in zip(boxes, out_sizes_bruteforce(ca, boxes)):
+            assert ca.state_count ** (x.volume - boundary_excess(x, r) - K) >= rec.out_size
 
 
 class TestVerdicts:

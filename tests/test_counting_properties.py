@@ -87,11 +87,11 @@ def test_bruteforce_is_translation_invariant(case):
 @given(rule_and_size())
 def test_chunking_does_not_change_the_bitmap(case):
     ca, n, origin = case
-    E, cells = counting._enumeration_cells(ca, (n,), counting.DEFAULT_BUDGET, origin)
-    whole, _ = counting._image_bitmap(ca, E, cells)
+    found = counting._enumeration_cells(ca, (n,), counting.DEFAULT_BUDGET, origin)
+    whole, _ = counting._image_bitmap(ca, *found)
     # one enumerated cell per chunk: every other cell is fixed by the chunk
     with mock.patch.object(counting, "_CHUNK", ca.state_count):
-        chunked, _ = counting._image_bitmap(ca, E, cells)
+        chunked, _ = counting._image_bitmap(ca, *found)
     assert np.array_equal(whole, chunked)
 
 
@@ -166,8 +166,8 @@ def test_batch_equals_single_box_enumeration(small_chunks, case):
     want = []
     for sides in boxes:
         try:
-            E, cells = counting._enumeration_cells(ca, sides, budget, origin)
-            seen, _ = counting._image_bitmap(ca, E, cells)
+            found = counting._enumeration_cells(ca, sides, budget, origin)
+            seen, _ = counting._image_bitmap(ca, *found)
             want.append(int(np.count_nonzero(seen)))
         except counting.BudgetExceeded as exc:
             want.append(exc)
@@ -209,14 +209,14 @@ def rule_and_box(draw):
 @given(case=rule_and_box())
 def test_split_bitmap_equals_the_whole_enumeration(small_chunks, case):
     ca, sides, origin = case
-    E, cells = counting._enumeration_cells(ca, sides, counting.DEFAULT_BUDGET, origin)
-    whole, _ = counting._enumerate(ca, cells, (), E)
+    E, cells, shifted = counting._enumeration_cells(ca, sides, counting.DEFAULT_BUDGET, origin)
+    whole, _ = counting._enumerate(ca, cells, (), shifted)
     # every box is split; a chunk of q^2 inputs sends the halves through the chunk loop
     chunk = ca.state_count**2 if small_chunks else counting._CHUNK
     with mock.patch.object(counting, "_SPLIT_FLOOR", 1), mock.patch.object(
         counting, "_CHUNK", chunk
     ), mock.patch.object(counting, "_join", wraps=counting._join) as join:
-        split, _ = counting._image_bitmap(ca, E, cells)
+        split, _ = counting._image_bitmap(ca, E, cells, shifted)
     assert join.call_count == 1
     assert split.dtype == whole.dtype
     assert np.array_equal(split, whole)

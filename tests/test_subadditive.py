@@ -18,7 +18,6 @@ from feketeca import (
     decomposition_bound,
     diagonal_schedule,
     geometric_schedule,
-    leq_pi,
     running_infimum,
     subadditive,
     subadditivity_triple_count,
@@ -43,16 +42,6 @@ class TestMultiIndex:
         x = MultiIndex((2, 3, 4))
         assert x.dim == 3
         assert x.volume == 24
-
-    def test_leq_pi_examples(self):
-        assert leq_pi((1, 2), (3, 2))
-        assert not leq_pi((2, 1), (1, 2))
-        assert not leq_pi((1, 2), (2, 1))
-        assert leq_pi((5,), (5,))
-
-    def test_leq_pi_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            leq_pi((1, 2), (1, 2, 3))
 
 
 class TestCheckSubadditivity:
@@ -302,7 +291,6 @@ class TestRunningInfimum:
         assert est.running_inf == 3.0
         assert est.last_ratio == 3.0
         assert est.bracket == (3.0, 3.0)
-        assert est.has_pi_maximum
 
     def test_product_plus_diagonal(self):
         est = running_infimum(PROD_PLUS, diagonal_schedule(2, 1000))
@@ -318,9 +306,8 @@ class TestRunningInfimum:
         with pytest.raises(ValueError):
             running_infimum(TRIPLE_N, [])
 
-    def test_no_pi_maximum_is_flagged(self):
+    def test_no_pi_maximum_falls_back_to_the_last_box(self):
         est = running_infimum(PROD_PLUS, [(2, 1), (1, 2)])
-        assert not est.has_pi_maximum
         assert est.evaluated_boxes[-1] in ((2, 1), (1, 2))
         assert est.last_ratio == PROD_PLUS((2, 1)) / 2  # lexicographically last
 
@@ -396,8 +383,8 @@ class TestFeketeLimitEstimate:
 
 
 def _running_infimum_reference(f, schedule):
-    """`running_infimum` as a coordinatewise-maximum loop and `leq_pi` scan,
-    for the property below."""
+    """`running_infimum` as a coordinatewise-maximum loop and a product-order
+    scan, for the property below."""
     boxes = []
     for b in schedule:
         b = MultiIndex(b)
@@ -414,19 +401,16 @@ def _running_infimum_reference(f, schedule):
     top = boxes[0]
     for b in boxes[1:]:
         top = MultiIndex(map(max, top, b))
-    if top in memo:
-        last, has_max = top, True
-    else:
-        last, has_max = max(boxes), False
+    last = top if top in memo else max(boxes)
     last_ratio = ev(last) / last.volume
-    below = [b for b in boxes if b != last and leq_pi(b, last)]
+    below = [b for b in boxes if b != last and all(x <= y for x, y in zip(b, last))]
     if below:
         prev = max(below, key=lambda b: (b.volume, tuple(b)))
         gap = last.volume - prev.volume
         tail_slope = (ev(last) - ev(prev)) / gap if gap > 0 else last_ratio
     else:
         tail_slope = last_ratio
-    return FeketeEstimate(tuple(boxes), ratios, min(ratios), last_ratio, has_max, tail_slope)
+    return FeketeEstimate(tuple(boxes), ratios, min(ratios), last_ratio, tail_slope)
 
 
 @st.composite
