@@ -72,8 +72,10 @@ class LambdaEstimate:
     """Bracketed estimate of the per-cell limit of log_q(output size).
 
     The limit is at most 1, with equality exactly for surjective
-    automata; the bracket is clamped to [0, 1] accordingly.  `notes`
-    names each scheduled box refused for budget.
+    automata; the bracket is clamped to [0, 1] accordingly.  `records`
+    come in the order of `estimate.evaluated_boxes`, so `estimate.ratios`
+    holds their ratios in turn.  `notes` names each scheduled box refused
+    for budget.
     """
 
     estimate: FeketeEstimate
@@ -145,6 +147,7 @@ def lambda_estimate(
 def boundary_excess(x, r) -> int:
     """prod(x_i + r_i) - prod(x_i): cells a boundary of widths r adds to box x."""
     x = as_index(x)
+    r = _integers(r, "boundary width")
     if len(r) != x.dim:
         raise ValueError("boundary widths must match the box dimension")
     if any(v < 0 for v in r):

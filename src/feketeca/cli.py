@@ -242,18 +242,16 @@ def cmd_out_table(args) -> int:
             )
         ]
         for sides, rec in zip(sides_list, records):
+            head = ",".join(map(str, sides))
             if isinstance(rec, BudgetExceeded):
                 status = f"refused: cost {_decimal(rec.cost)} exceeds budget {args.budget}"
-                fields = ["", "", "", "", status]
-            else:
-                fields = [
-                    _decimal(rec.out_size),
-                    _decimal(rec.full_size),
-                    _fmt12(rec.ratio),
-                    _fmt12(rec.lambda_qits),
-                    "ok",
-                ]
-            lines.append(",".join([str(s) for s in sides] + fields))
+                lines.append(f"{head},,,,,{status}")
+                continue
+            log, volume = rec.log_out, rec.sides.volume
+            lines.append(
+                f"{head},{_decimal(rec.out_size)},{_decimal(rec.full_size)},"
+                f"{log / volume:.12g},{volume - log:.12g},ok"
+            )
         out.write("\n".join(lines) + "\n")
     finally:
         if close:
@@ -319,9 +317,8 @@ def cmd_lambda(args) -> int:
     try:
         # joined CSV rows, as in out-table
         lines = [",".join([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])]
-        for rec in est.records:
-            row = [_decimal(rec.out_size), _fmt12(rec.ratio)]
-            lines.append(",".join([str(s) for s in rec.sides] + row))
+        for rec, ratio in zip(est.records, est.estimate.ratios):
+            lines.append(f"{','.join(map(str, rec.sides))},{_decimal(rec.out_size)},{ratio:.12g}")
         out.write("\n".join(lines) + "\n")
     finally:
         if close:

@@ -25,23 +25,32 @@ can produce on a box):
 * a 1D subset DFA: the sliding-window structure gives an edge-labelled
   de Bruijn graph whose label words are exactly the reachable patterns.
   `_SubsetDFA` determinizes it lazily, numbering subsets in the
-  breadth-first order they are reached from the full set.  The count is
-  a path count: each subset is stepped once, into a row of successor
-  ids, and one length is a gather and an `np.add.reduceat` over
-  exact-integer object arrays, following a plan built for the live
-  subset set (only the last plan is kept; the live set settles within a
-  few lengths).  The surjectivity decision walks the same numbering: an
-  orphan word exists iff the empty subset is reached, and the word is
-  read back through the parent steps.  The vertex table, q^(2m-1) bits
-  for span m, is priced first and refused past `_TABLE_BITS`.
+  breadth-first order they are reached from the full set.  A subset is a
+  packed row of uint64 words, and a batch of newly numbered subsets is
+  stepped under every label at once: the set bits of the rows gather
+  rows of the target table, and one `np.bitwise_or.reduceat` ORs them
+  per subset (a small batch is stepped by a bit loop over Python ints,
+  which costs less there than numpy's calls).  The count is a path
+  count, and it reads Out(n+1) = q * Out(n) - (the counts of the dead
+  pairs, the subset-label steps to the empty set), so a length adds only
+  along the live edges and the dead pairs, never over every live subset:
+  one gather and one `np.add.reduceat` per length, following a plan
+  built for the live set (only the last plan is kept; the live set
+  settles within a few lengths).  Counts stay int64 while q^n < 2^62
+  and are exact-integer object arrays after.  The surjectivity decision
+  walks the same numbering: an orphan word exists iff the empty subset
+  is reached, and the word is read back through the parent steps.  The
+  target table, q^(2m-1) bits for span m, is priced first and refused
+  past `_TABLE_BITS`.
 
 `out_sizes` is the one place that picks the route: the DFA in dimension
 1, brute force in higher dimensions or when the DFA refuses.  The two
 routes must agree wherever both run; they share no machinery.  Counts
-are exact Python integers throughout (q^volume overflows fixed width at
-modest sizes).  Each `OutRecord` carries its own loss: `log_out`,
-`ratio` and `lambda_qits` are properties read off the count, so there is
-one place that turns a count into q-its.  Orphan search lives here too.
+are exact Python integers (q^volume overflows fixed width at modest
+sizes); only the 1D count keeps int64 while its bound allows.  Each
+`OutRecord` carries its own loss: `log_out`, `ratio` and `lambda_qits`
+are properties read off the count, so there is one place that turns a
+count into q-its.  Orphan search lives here too.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -78,6 +87,24 @@ _CHUNK = 1 << 20
 
 # Most bits the 1D subset DFA's target masks take: 2^30 bytes.
 _TABLE_BITS = 1 << 33
+
+# A packed vertex set of the subset DFA is a row of these words; _BIT[b]
+# is the word with bit b set.
+_WORD = np.dtype("<u8")
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+# Most target-table words the subset DFA gathers at once (a block of
+# subsets, or one subset whose own gather is larger).
+_GATHER_WORDS = 1 << 20
+
+# Most vertex bits, in a batch of subsets plus the q * q^(m-1) windows of
+# its table, for which the subset DFA steps the batch by a bit loop over
+# Python ints rather than by numpy.
+_WALK_BITS = 256
+
+# Most subsets the surjectivity search steps at once, so it numbers at
+# most q times this many past its cap before it refuses.
+_BFS_BLOCK = 1 << 12
 
 # Fewest inputs, q^|E+N|, at which a box is enumerated as two halves
 # joined over their shared cells; below it, whole is faster.
@@ -110,10 +137,12 @@ def log_base(n: int, q: int) -> float:
     """log_q of a positive integer, exact when n is a power of q."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = round(math.log(n, q)) if n > 1 else 0
-    if k >= 0 and q**k == n:
+    x = math.log(n) / math.log(q)
+    k = round(x)
+    # q^k is built only when n can be it: log_q n is then k up to rounding
+    if abs(x - k) <= 1e-9 * max(1, k) and q**k == n:
         return float(k)
-    return math.log(n) / math.log(q)
+    return x
 
 
 @dataclass(frozen=True)
@@ -133,11 +162,20 @@ class OutRecord:
     method: str
     detail: str = ""
 
+    @classmethod
+    def _trusted(
+        cls, sides: MultiIndex, out_size: int, q: int, method: str, detail: str = ""
+    ) -> "OutRecord":
+        """A record from fields the caller already validated."""
+        rec = object.__new__(cls)
+        vars(rec).update(sides=sides, out_size=out_size, q=q, method=method, detail=detail)
+        return rec
+
     @property
     def full_size(self) -> int:
         return self.q**self.sides.volume
 
-    @cached_property
+    @property
     def log_out(self) -> float:
         return log_base(self.out_size, self.q)
 
@@ -429,14 +467,16 @@ class _SubsetDFA:
     Vertices are the q^(m-1) overlap words of a rule of span m; reading
     one more input cell c moves u to (u+c)[1:] and emits the rule output
     of the full window u+c, so the label words are exactly the reachable
-    patterns.  Vertex sets are bit masks.  Id 0 is the full set; `succ`
-    gives every other nonempty subset the next id when it first reaches
-    it and records in `parent` the step that did, as id * q + label in
-    one machine word (-1 for the full set), and -1 stands for the empty
-    subset.  Both callers step ids in increasing order with labels
-    ascending, so ids are breadth-first order.  The table of target masks
-    takes q^(2m-1) bits; past `_TABLE_BITS` the constructor refuses
-    before anything is allocated.
+    patterns.  A vertex set is an int mask, bit v for vertex v, and a
+    packed row of little-endian uint64 words when numpy steps it.  The
+    target table holds, per vertex, the q rows of vertices it steps to
+    under each label: q^(2m-1) bits (each row padded to whole words),
+    priced first and refused past `_TABLE_BITS` before anything is
+    allocated.  Id 0 is the full set and -1 the empty one; `step` gives
+    every other subset the next id when it first reaches it and records
+    in `parent` the step that did, as id * q + label (-1 for the full
+    set).  Subsets are stepped in id order with labels ascending, so ids
+    are breadth-first order.
     """
 
     def __init__(self, ca: CellularAutomaton):
@@ -447,41 +487,99 @@ class _SubsetDFA:
         if (bits := q ** (2 * m - 1)) > _TABLE_BITS:  # q^(m-1) vertices x q labels x q^(m-1) bits
             msg = f"subset DFA vertex table needs {_decimal(bits)} bits of target masks"
             raise BudgetExceeded(f"{msg}, cap is {_TABLE_BITS}", cost=bits)
-        nb = ca.neighborhood_size
-        win = np.arange(q**m, dtype=np.int64)
-        idx = sum(
-            (win // q ** (m - 1 - (off - mn))) % q * q ** (nb - 1 - i)
-            for i, off in enumerate(offs)
-        )
-        wout = np.asarray(ca.rule_table, dtype=np.int64)[idx]
-        n_states = q ** (m - 1)
-        targets = [[0] * q for _ in range(n_states)]
-        for w, label in enumerate(wout.tolist()):  # window w = u+c; drop its oldest cell
-            targets[w // q][label] |= 1 << (w % n_states)
+        # the output of each window u+c, the cells mn..mn+m-1 read big-endian:
+        # the rule's axes moved to their cells' places, broadcast over the rest
+        at = [o - mn for o in offs]
+        rule = ca._rule_array.transpose(sorted(range(len(at)), key=at.__getitem__))
+        self._label = np.empty((q,) * m, dtype=np.int64)
+        self._label[...] = rule.reshape([q if p in at else 1 for p in range(m)])
         self.q = q
-        self._targets = targets
-        full = (1 << n_states) - 1
-        self.masks = [full]
-        self.ids = {full: 0}
+        self._states = q ** (m - 1)
+        self._size = 8 * -(-self._states // 64)  # bytes of a row
+        full = (1 << self._states) - 1
+        self.ids = {0: -1, full: 0}
         self.parent = array("q", [-1])
+        self.fresh = [full]  # the masks numbered and not yet stepped, in id order
+        self.stepped = 0
+        self._targets = self._rows = None  # each built on its first use
 
-    def succ(self, i: int, label: int) -> int:
-        """Id of the subset that subset i steps to by one label; -1 if empty."""
-        nxt = 0
-        targets = self._targets
-        rest = self.masks[i]
-        while rest:
-            low = rest & -rest
-            nxt |= targets[low.bit_length() - 1][label]
-            rest ^= low
-        if not nxt:
-            return -1
-        j = self.ids.get(nxt)
-        if j is None:
-            j = self.ids[nxt] = len(self.masks)
-            self.masks.append(nxt)
-            self.parent.append(i * self.q + label)
-        return j
+    def step(self, count: int, stop: bool = False) -> list[int]:
+        """Successor ids, q per subset in (subset, label) order, of the first
+        `count` subsets of `fresh`, numbering the new ones in that order.
+        With `stop` the ids end at the first empty successor, and the
+        engine is not stepped further: a search ends there.
+
+        A small batch is stepped by `_walk`: one whose vertex bits, with
+        those of q more subsets for the walk's table, are at most
+        `_WALK_BITS`.  A larger one is stepped under every label at once,
+        in blocks of rows whose gather takes at most `_GATHER_WORDS` words
+        or one row: the set bits of a row pick its vertices' rows of the
+        target table, and one `bitwise_or.reduceat` ORs them per subset.
+        """
+        q, n_states, size = self.q, self._states, self._size
+        masks, self.fresh = self.fresh[:count], self.fresh[count:]
+        if (count + q) * n_states <= _WALK_BITS:
+            succ = self._walk(masks)
+        else:
+            if self._targets is None:
+                # window w = u+c steps u = w // q to w minus its oldest cell
+                w = np.arange(q * n_states)
+                dest = w % n_states
+                at = (w // q, self._label.ravel() * (size // 8) + (dest >> 6))
+                self._targets = np.zeros((n_states, q * size // 8), dtype=_WORD)
+                np.bitwise_or.at(self._targets, at, _BIT[dest & 63])
+            if size == 8:  # numpy converts one-word masks itself
+                rows = np.array(masks, dtype=_WORD).view(np.uint8).reshape(count, 8)
+            else:
+                rows = b"".join(mask.to_bytes(size, "little") for mask in masks)
+                rows = np.frombuffer(rows, dtype=np.uint8).reshape(count, size)
+            per = max(1, _GATHER_WORDS // self._targets.size)
+            blocks = []
+            for r0 in range(0, count, per):
+                bits = np.unpackbits(rows[r0:r0 + per], axis=1, bitorder="little")
+                sub, vertex = bits.nonzero()
+                starts = sub.searchsorted(np.arange(len(bits)))  # no subset is empty
+                blocks.append(np.bitwise_or.reduceat(self._targets[vertex], starts))
+            succ = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            if size == 8:
+                succ = succ.ravel().tolist()
+            else:
+                succ = succ.view(np.dtype((np.void, size))).ravel().tolist()
+                succ = [int.from_bytes(row, "little") for row in succ]
+        ids, parent, fresh = self.ids, self.parent, self.fresh
+        first, out = self.stepped * q, []
+        for p, mask in enumerate(succ):
+            j = ids.get(mask)
+            if j is None:
+                j = ids[mask] = len(parent)
+                parent.append(first + p)
+                fresh.append(mask)
+            out.append(j)
+            if j < 0 and stop:
+                break
+        self.stepped += count
+        return out
+
+    def _walk(self, masks: list[int]):
+        """`step`'s successor masks, made as they are read, by a bit loop:
+        in small batches a loop costs less than numpy's calls.  A vertex's
+        q target masks, one row width apart in one int, OR into the
+        subset's q successors at once."""
+        q, n_states, size = self.q, self._states, self._size
+        if self._rows is None:
+            self._rows = [0] * n_states
+            for w, label in enumerate(self._label.ravel().tolist()):
+                self._rows[w // q] |= 1 << (8 * size * label + w % n_states)
+            self._labels = [8 * size * c for c in range(q)]
+        rows, labels, mask = self._rows, self._labels, (1 << 8 * size) - 1
+        for rest in masks:
+            acc = 0
+            while rest:
+                low = rest & -rest
+                acc |= rows[low.bit_length() - 1]
+                rest ^= low
+            for shift in labels:
+                yield acc >> shift & mask
 
 
 def out_size_transfer_1d(
@@ -489,16 +587,25 @@ def out_size_transfer_1d(
 ) -> list[OutRecord]:
     """Exact output sizes for n = 1..n_max via the subset DFA.
 
-    Counts distinct label words of each length by dynamic programming
-    over `_SubsetDFA` states, with exact Python integer counts in numpy
-    object arrays.  Each subset's row of q successor ids is stepped once,
-    when the subset is first live.  A plan for one live set (the gather
-    index sorted by successor, the reduceat starts and the next live set)
-    turns a length into one `np.add.reduceat(counts[gather], starts)`;
-    only the last plan is kept, rebuilt when the live set changes, and
-    the live set settles within a few lengths.  Refuses if the live
-    subset count ever exceeds max_subsets, or when the DFA's vertex table
-    would pass `_TABLE_BITS`.
+    With c_n[s] the number of words of length n that lead from the full
+    set to subset s, Out(n) is the sum of c_n over the live subsets.
+    Every live subset steps under each of the q labels to a live subset
+    or to the empty set, so
+
+        Out(n+1) = q * Out(n) - sum of c_n[s] over the dead pairs (s, label),
+
+    the pairs that step s to the empty set: each length reads only the
+    few dead pairs, never every live subset.  c_{n+1} is one
+    `np.add.reduceat(c_n[gather], starts)`, following a plan built for
+    the live set (the gather index sorted by successor, the reduceat
+    starts, the next live set and the dead pairs); the plan is rebuilt
+    when the live set changes, which stops within a few lengths.  Once
+    the plan maps its live set onto itself and has no dead pair, c_n is
+    never read again and is no longer updated.  Every count and every
+    sum at length n is at most q^n, so counts are int64 while
+    q^n < 2^62 and exact Python integers (object arrays) after.  Refuses
+    if the live subset count ever exceeds max_subsets, or when the DFA's
+    vertex table would pass `_TABLE_BITS`.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
@@ -506,40 +613,45 @@ def out_size_transfer_1d(
         raise ValueError("n_max must be >= 1")
     dfa = _SubsetDFA(ca)
     q = dfa.q
-    rows = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
+    succ = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
     live = np.zeros(1, dtype=np.int64)
-    counts = np.ones(1, dtype=object)
-    plan_key = None
+    counts = np.ones(1, dtype=np.int64)
+    out = 1
+    exact_from = next(n for n in range(64) if q**n >= 1 << 62)
+    stable = False
     records = []
     for n in range(1, n_max + 1):
-        if live.tobytes() != plan_key:
-            plan_key = live.tobytes()
-            fresh = [[dfa.succ(i, c) for c in range(q)] for i in range(len(rows), len(dfa.masks))]
-            rows = np.concatenate([rows, np.array(fresh, dtype=np.int64).reshape(-1, q)])
-            succ = rows[live]
-            src, label = np.nonzero(succ >= 0)
-            dest = succ[src, label]
+        if not stable:
+            if dfa.fresh:
+                ids = np.array(dfa.step(len(dfa.fresh)), dtype=np.int64)
+                succ = np.concatenate([succ, ids.reshape(-1, q)])
+            step = succ[live]
+            src, label = np.nonzero(step >= 0)
+            dest = step[src, label]
             order = np.argsort(dest)
-            gather, dest = src[order], dest[order]
+            dest = dest[order]
             starts = np.flatnonzero(np.diff(dest, prepend=-1))
             nxt = dest[starts]
-        counts = np.add.reduceat(counts[gather], starts)
-        live = nxt
-        if len(live) > max_subsets:
-            raise BudgetExceeded(
-                f"subset construction reached {len(live)} live subsets at n={n}, "
-                f"cap is {max_subsets}",
-                cost=len(live),
-            )
-        records.append(
-            OutRecord(
-                sides=MultiIndex._trusted((n,)),
-                out_size=int(counts.sum()),
-                q=q,
-                method="transfer1d",
-                detail=f"subsets={len(live)}",
-            )
-        )
+            if len(nxt) > max_subsets:
+                raise BudgetExceeded(
+                    f"subset construction reached {len(nxt)} live subsets at n={n}, "
+                    f"cap is {max_subsets}",
+                    cost=len(nxt),
+                )
+            # the dead pairs' subsets sum into one more entry, after the live ones
+            dead = np.nonzero(step < 0)[0]
+            gather = np.concatenate([src[order], dead])
+            if len(dead):
+                starts = np.append(starts, len(dest))
+            stable = np.array_equal(nxt, live)
+            detail = f"subsets={len(nxt)}"
+            live = nxt
+        if n == exact_from:
+            counts = counts.astype(object)
+        if len(dead) or not stable:  # else the counts are never read again
+            counts = np.add.reduceat(counts[gather], starts)
+        out = q * out - (int(counts[-1]) if len(dead) else 0)
+        records.append(OutRecord._trusted(MultiIndex._trusted((n,)), out, q, "transfer1d", detail))
     return records
 
 
@@ -572,30 +684,37 @@ def decide_surjectivity_1d(
 
     None means surjective; otherwise the certificate holds an orphan word
     at the origin.  Walks the subset DFA from the full set in id order,
-    which is breadth-first order: an orphan word exists iff the empty
-    subset is reachable.  Labels are tried in ascending order, so the
-    word read back through `parent` to the first empty step is the
-    lexicographically least orphan word of minimal length.  Refuses once
-    more than max_subsets subsets have been reached, or when the DFA's
-    vertex table would pass `_TABLE_BITS`.
+    which is breadth-first order, stepping at most `_BFS_BLOCK` subsets
+    at a time: an orphan word exists iff the empty subset is reachable.
+    Labels are tried in ascending order, so the word read back through
+    `parent` from the first empty step is the lexicographically least
+    orphan word of minimal length.  Refuses at the first step that
+    takes the count of subsets reached past max_subsets, unless an empty
+    step comes before it, or when the DFA's vertex table would pass
+    `_TABLE_BITS`.
     """
     if ca.dimension != 1:
         raise ValueError("the exact decision procedure requires dimension 1")
     dfa = _SubsetDFA(ca)
-    i = 0
-    while i < len(dfa.masks):
-        for label in range(dfa.q):
-            if dfa.succ(i, label) < 0:
+    q = dfa.q
+    while dfa.fresh:
+        first, count = dfa.stepped * q, len(dfa.parent)
+        ids = dfa.step(min(len(dfa.fresh), _BFS_BLOCK), stop=True)
+        if len(dfa.parent) <= max_subsets and -1 not in ids:
+            continue
+        # replay the block's steps in order: the empty subset, or the cap
+        for p, j in enumerate(ids):
+            if j < 0:
+                i, label = divmod(first + p, q)
                 word = [label]
                 while dfa.parent[i] >= 0:
-                    i, back = divmod(dfa.parent[i], dfa.q)
+                    i, back = divmod(dfa.parent[i], q)
                     word.append(back)
                 sides = MultiIndex._trusted((len(word),))
                 return OrphanCertificate(sides, Pattern(RightPolytope(sides), word[::-1]))
-            if len(dfa.masks) > max_subsets:
+            count += j == count  # a new subset takes the next id, count
+            if count > max_subsets:
                 raise BudgetExceeded(
-                    f"subset search visited {len(dfa.masks)} subsets, cap is {max_subsets}",
-                    cost=len(dfa.masks),
+                    f"subset search visited {count} subsets, cap is {max_subsets}", cost=count
                 )
-        i += 1
     return None

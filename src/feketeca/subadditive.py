@@ -88,7 +88,7 @@ def as_index(value, dim: int | None = None) -> MultiIndex:
     idx = value
     if not isinstance(idx, MultiIndex):
         idx = MultiIndex((value,) if isinstance(value, int) else value)
-    if dim is not None and idx.dim != dim:
+    if dim is not None and len(idx) != dim:
         raise ValueError(f"expected dimension {dim}, got {tuple(idx)}")
     return idx
 
@@ -390,18 +390,24 @@ def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     if not boxes:
         raise ValueError("schedule must be nonempty")
 
-    values = {b: float(f.fn(b)) for b in boxes}
-    ratios = tuple(values[b] / b.volume for b in boxes)
+    values = [float(f.fn(b)) for b in boxes]
+    volumes = list(map(math.prod, boxes))
+    ratios = tuple(map(operator.truediv, values, volumes))
     running_inf = min(ratios)
 
-    last = max(boxes)  # the product-order maximum, when there is one
-    last_ratio = values[last] / last.volume
+    k = max(range(len(boxes)), key=boxes.__getitem__)
+    last = boxes[k]  # the product-order maximum, when there is one
+    last_ratio = ratios[k]
 
-    below = [b for b in boxes if b != last and all(map(operator.le, b, last))]
+    below = [
+        (volume, b, i)
+        for i, (b, volume) in enumerate(zip(boxes, volumes))
+        if i != k and all(map(operator.le, b, last))
+    ]
     if below:
-        prev = max(below, key=lambda b: (b.volume, b))
-        gap = last.volume - prev.volume
-        tail_slope = (values[last] - values[prev]) / gap if gap > 0 else last_ratio
+        volume, _, i = max(below)
+        gap = volumes[k] - volume
+        tail_slope = (values[k] - values[i]) / gap if gap > 0 else last_ratio
     else:
         tail_slope = last_ratio
 

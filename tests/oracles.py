@@ -92,3 +92,95 @@ def dominant_growth_log2():
         else:
             hi = mid
     return math.log2((lo + hi) / 2)
+
+
+# ------------------------------------------------ the bit-loop subset DFA
+#
+# The 1D subset DFA and its per-length count as the package ran them
+# before its engine stepped packed rows in numpy: one subset by one label
+# at a time over Python-int masks, and a length as a sum over every live
+# subset.  Rules are plain data: q, the 1D offsets in neighbourhood order,
+# and the table indexed big-endian by the neighbour states.
+
+
+class BitLoopSubsetDFA:
+    """Subsets of de Bruijn vertices as int masks, numbered in the order
+    `succ` first reaches them from the full set (id 0); `parent[j]` is
+    i * q + label of the step that first reached j, -1 for the full set."""
+
+    def __init__(self, q, offsets, table):
+        mn = min(offsets)
+        m = max(offsets) - mn + 1
+        n_states = q ** (m - 1)
+        self.q = q
+        self._targets = [[0] * q for _ in range(n_states)]
+        for w in range(q**m):  # window w = u+c, its cells mn..mn+m-1 big-endian
+            cells = [w // q ** (m - 1 - p) % q for p in range(m)]
+            label = table[sum(cells[o - mn] * q ** (len(offsets) - 1 - i)
+                              for i, o in enumerate(offsets))]
+            self._targets[w // q][label] |= 1 << (w % n_states)
+        full = (1 << n_states) - 1
+        self.masks = [full]
+        self.ids = {full: 0}
+        self.parent = [-1]
+
+    def succ(self, i, label):
+        """Id of the subset that subset i steps to by one label; -1 if empty."""
+        nxt = 0
+        rest = self.masks[i]
+        while rest:
+            low = rest & -rest
+            nxt |= self._targets[low.bit_length() - 1][label]
+            rest ^= low
+        if not nxt:
+            return -1
+        j = self.ids.get(nxt)
+        if j is None:
+            j = self.ids[nxt] = len(self.masks)
+            self.masks.append(nxt)
+            self.parent.append(i * self.q + label)
+        return j
+
+
+def bit_loop_counts(q, offsets, table, n_max, max_subsets=1 << 16):
+    """([(out size, live subsets) for n = 1..], refusal): the refusal is
+    (message, cost) when the live subsets pass max_subsets, else None.
+    Each length sums its counts over every live subset."""
+    dfa = BitLoopSubsetDFA(q, offsets, table)
+    rows = []  # successor ids per stepped subset
+    live, counts = [0], [1]
+    out = []
+    for n in range(1, n_max + 1):
+        rows += [[dfa.succ(i, c) for c in range(q)] for i in range(len(rows), len(dfa.masks))]
+        nxt = {}
+        for s, c in zip(live, counts):
+            for j in rows[s]:
+                if j >= 0:
+                    nxt[j] = nxt.get(j, 0) + c
+        live = sorted(nxt)
+        counts = [nxt[j] for j in live]
+        if len(live) > max_subsets:
+            message = f"subset construction reached {len(live)} live subsets at n={n}, cap is {max_subsets}"
+            return out, (message, len(live))
+        out.append((sum(counts), len(live)))
+    return out, None
+
+
+def bit_loop_decision(q, offsets, table, max_subsets=1 << 20):
+    """("surjective",), ("orphan", word) with the least shortest orphan
+    word, or ("refused", message, cost), by the one-step-at-a-time search."""
+    dfa = BitLoopSubsetDFA(q, offsets, table)
+    i = 0
+    while i < len(dfa.masks):
+        for label in range(q):
+            if dfa.succ(i, label) < 0:
+                word = [label]
+                while dfa.parent[i] >= 0:
+                    i, back = divmod(dfa.parent[i], q)
+                    word.append(back)
+                return ("orphan", tuple(word[::-1]))
+            if len(dfa.masks) > max_subsets:
+                message = f"subset search visited {len(dfa.masks)} subsets, cap is {max_subsets}"
+                return ("refused", message, len(dfa.masks))
+        i += 1
+    return ("surjective",)

@@ -38,6 +38,21 @@ class TestLoss:
         assert log_base(3**41, 3) == 41.0
         assert abs(log_base(7, 2) - math.log2(7)) < 1e-15
 
+    def test_log_base_is_exact_on_powers_and_only_there(self):
+        """q^k gives exactly float(k) for k up to 20000 (every k to 2000,
+        then a stride); q^k - 1 and q^k + 1 get the quotient of logarithms,
+        which differs from k wherever a float can tell them apart."""
+        for q in range(2, 6):
+            power = 1
+            for k in range(20001):
+                if k <= 2000 or k % 61 == 0:
+                    assert log_base(power, q) == float(k)
+                    for n in {max(power - 1, 1), power + 1} - {power}:
+                        x = math.log(n) / math.log(q)
+                        assert log_base(n, q) == x
+                        assert power > 1 << 40 or x != float(k)
+                power *= q
+
     def test_shift_loss_is_zero(self, shift):
         for n in range(1, 11):
             (rec,) = out_sizes_bruteforce(shift, [n])
@@ -219,6 +234,10 @@ class TestThresholds:
         assert boundary_excess((3, 4), (1, 2)) == 4 * 6 - 12
         with pytest.raises(ValueError):
             boundary_excess((3,), (-1,))
+        # widths are integers: a float is refused, not summed into a float
+        with pytest.raises(ValueError, match="boundary width entry 0 is 2.5"):
+            boundary_excess((3,), (2.5,))
+        assert type(boundary_excess((3,), (True,))) is int
 
     def test_and1d_threshold_constants(self, and1d):
         rep = theorem2_threshold(and1d, K=1, r=(2,), search_box=(64,))

@@ -27,6 +27,8 @@ from feketeca import (
     out_sizes_bruteforce,
 )
 
+import oracles
+
 _SPAN_CAP = 4096  # q^span: size of the window table the transfer route builds
 _ENUM_CAP = 1 << 14  # q^|E+N| brute force may enumerate per example
 _PREIMAGE_CAP = 4096  # q^|E+N| up to which a certificate is re-checked
@@ -291,3 +293,92 @@ def test_record_loss_matches_the_old_loss(case):
 def test_record_loss_matches_the_old_loss_on_long_words(ca, lengths):
     # counts far past the float mantissa, where log_q is exact only on powers of q
     _assert_loss_is_the_old_loss(out_sizes(ca, lengths), ca.state_count)
+
+
+# The count and the decision against the bit-loop subset DFA they replaced
+# (tests/oracles.py): same counts, details and refusals, at lengths past
+# the switch from int64 to exact counts, and the same orphan words.
+
+_LENGTHS = {2: 70, 3: 45, 4: 40}  # past q^n >= 2^62 at n = 62, 39 and 31
+
+
+@st.composite
+def rule_1d_wide(draw):
+    """A 1D rule with q 2-4 and q^span <= 128: one to three offsets in
+    -4..4 (span 1, negative and gapped neighbourhoods), and a random table,
+    a balanced one, or one that permutes the states of its last cell in
+    every context, which has no dead label."""
+    q = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k, unique=True))
+    while q ** (max(offsets) - min(offsets) + 1) > 128:
+        offsets.pop()
+    k = len(offsets)
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "balanced", "permutive"]))
+    if kind == "random":
+        table = [rng.randrange(q) for _ in range(q**k)]
+    elif kind == "balanced":
+        table = [v % q for v in rng.sample(range(q**k), q**k)]
+    else:
+        last = offsets.index(max(offsets))
+        perms = {}
+        table = []
+        for code in range(q**k):
+            digits = [code // q ** (k - 1 - i) % q for i in range(k)]
+            ctx = tuple(digits[:last] + digits[last + 1:])
+            table.append(perms.setdefault(ctx, rng.sample(range(q), q))[digits[last]])
+    return q, offsets, table
+
+
+def _transfer_or_refusal(ca, n_max, cap):
+    try:
+        return [(r.out_size, r.detail) for r in out_size_transfer_1d(ca, n_max, cap)], None
+    except counting.BudgetExceeded as exc:
+        return None, (str(exc), exc.cost)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rule=rule_1d_wide(), cap=st.sampled_from([4096, 1, 2, 5, 20, 60]))
+def test_transfer_counts_match_the_bit_loop(rule, cap):
+    q, offsets, table = rule
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    n_max = _LENGTHS[q]
+    rows, refused = oracles.bit_loop_counts(q, offsets, table, n_max, cap)
+    got, got_refused = _transfer_or_refusal(ca, n_max, cap)
+    assert got_refused == refused
+    if refused is None:
+        assert got == [(out, f"subsets={live}") for out, live in rows]
+        assert all(type(out) is int for out, _ in got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rule=rule_1d_wide(), cap=st.sampled_from([64, 200, 1000, 4096]))
+def test_decision_matches_the_bit_loop(rule, cap):
+    q, offsets, table = rule
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    want = oracles.bit_loop_decision(q, offsets, table, cap)
+    try:
+        cert = decide_surjectivity_1d(ca, max_subsets=cap)
+    except counting.BudgetExceeded as exc:
+        got = ("refused", str(exc), exc.cost)
+    else:
+        got = ("surjective",) if cert is None else ("orphan", cert.pattern.cells)
+    assert got == want
+
+
+def test_wide_rules_step_by_numpy_and_by_the_walk(monkeypatch):
+    """A span-7 rule steps batches above `_WALK_BITS` in numpy, several
+    blocks of rows at once when the gather budget is small, and agrees
+    with the bit loop either way."""
+    q, offsets, table = 2, [-2, -3, 3], [1, 0, 1, 0, 1, 0, 0, 1]
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    rows, refused = oracles.bit_loop_counts(q, offsets, table, 14)
+    want = oracles.bit_loop_decision(q, offsets, table, 20000)
+    for gather_words in (counting._GATHER_WORDS, 64 * 2 * 3):
+        monkeypatch.setattr(counting, "_GATHER_WORDS", gather_words)
+        got = [(r.out_size, r.detail) for r in out_size_transfer_1d(ca, 14)]
+        assert refused is None and got == [(out, f"subsets={live}") for out, live in rows]
+        with pytest.raises(counting.BudgetExceeded) as info:
+            decide_surjectivity_1d(ca, max_subsets=20000)
+        assert ("refused", str(info.value), info.value.cost) == want
