@@ -4,7 +4,10 @@
 # record carries its loss: rec.lambda_qits = n - log2(out), and
 # rec.ratio = log2(out)/n.
 
+import math
+
 from feketeca import (
+    CellularAutomaton,
     find_orphan,
     make_builtin,
     out_size_transfer_1d,
@@ -55,7 +58,25 @@ print()
 print("digits in Out(2000):", len(str(big[-1].out_size)))
 
 ####
-# 5. the same machinery in 2D (brute force only): the AND-of-three rule
+# 5. a gapped rule: offsets (2, -1) lie in one coset of 3Z, so the rule is
+#    three interleaved copies of its reduced rule, offsets (1, 0), and
+#    Out(n) is the product of the copies' counts at lengths ceil((n-r)/3)
+####
+
+print()
+gapped = CellularAutomaton(1, 3, ((2,), (-1,)), [0, 1, 2, 1, 1, 0, 2, 0, 2])
+reduced = CellularAutomaton(1, 3, ((1,), (0,)), gapped.rule_table)
+counts = [1] + [r.out_size for r in out_sizes_bruteforce(reduced, range(1, 4))]
+print("reduced counts Out'(k), k = 0..3:", counts)
+print("n  Out(n)  product of the reduced counts  loss (q-its)")
+for rec in out_size_transfer_1d(gapped, 9):
+    n = rec.sides[0]
+    factors = [counts[-(-(n - r) // 3)] for r in range(3)]
+    assert rec.out_size == math.prod(factors)
+    print(f"{n}  {rec.out_size:6d}  {' x '.join(map(str, factors)):>14}  {rec.lambda_qits:.5f}")
+
+####
+# 6. the same machinery in 2D (brute force only): the AND-of-three rule
 #    first loses patterns on a 2x3 window
 ####
 

@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .analysis import VerdictStatus, lambda_estimate, surjectivity_report
 from .ca import CellularAutomaton, make_builtin
 from .counting import (
@@ -326,12 +328,26 @@ def cmd_lambda(args) -> int:
     return EXIT_OK
 
 
+class _Formula(SubadditiveFn):
+    """A builtin f, one formula on the coordinates, that evaluates rows as
+    array work: on int64 columns while every coordinate is below 2^31, so
+    no product of two overflows, and on columns of exact ints past that.
+    Either way each value is the float of the exact result, as one call
+    of the formula gives."""
+
+    def __init__(self, dim: int, formula, name: str):
+        super().__init__(dim, lambda x: float(formula(x)), name)
+        self.formula = formula
+
+    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        cols = points.T if points.max(initial=0) < 1 << 31 else points.T.astype(object)
+        return np.asarray(self.formula(cols), dtype=np.float64)
+
+
 _FEKETE_BUILTINS = {
-    "3n": lambda: SubadditiveFn(1, lambda x: 3.0 * x[0], name="3n"),
-    "n^2": lambda: SubadditiveFn(1, lambda x: float(x[0] ** 2), name="n^2"),
-    "xy+x+y": lambda: SubadditiveFn(
-        2, lambda x: float(x[0] * x[1] + x[0] + x[1]), name="xy+x+y"
-    ),
+    "3n": lambda: _Formula(1, lambda x: 3.0 * x[0], "3n"),
+    "n^2": lambda: _Formula(1, lambda x: x[0] ** 2, "n^2"),
+    "xy+x+y": lambda: _Formula(2, lambda x: x[0] * x[1] + x[0] + x[1], "xy+x+y"),
 }
 
 

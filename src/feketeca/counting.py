@@ -41,7 +41,12 @@ can produce on a box):
   walks the same numbering: an orphan word exists iff the empty subset
   is reached, and the word is read back through the parent steps.  The
   target table, q^(2m-1) bits for span m, is priced first and refused
-  past `_TABLE_BITS`.
+  past `_TABLE_BITS`.  A rule whose offsets all lie in one coset
+  a + gZ, g >= 2, is g independent interleaved copies of its reduced
+  rule, with offsets (o - a)/g, so the count builds, prices and steps
+  only the reduced rule's DFA: Out(n) is the product over r < g of
+  Out'(ceil((n - r)/g)), the live subsets multiply alike, and the loss
+  is the sum of the copies' losses.  The decision is not decomposed.
 
 `out_sizes` is the one place that picks the route: the DFA in dimension
 1, brute force in higher dimensions or when the DFA refuses.  The two
@@ -472,24 +477,27 @@ class _SubsetDFA:
     target table holds, per vertex, the q rows of vertices it steps to
     under each label: q^(2m-1) bits (each row padded to whole words),
     priced first and refused past `_TABLE_BITS` before anything is
-    allocated.  Id 0 is the full set and -1 the empty one; `step` gives
+    allocated.  With `gap` g, a common divisor of the offsets'
+    differences, the DFA is the reduced rule's: offsets (o - min)/g,
+    the same table and neighbourhood order, and its own span m and
+    price.  Id 0 is the full set and -1 the empty one; `step` gives
     every other subset the next id when it first reaches it and records
     in `parent` the step that did, as id * q + label (-1 for the full
     set).  Subsets are stepped in id order with labels ascending, so ids
     are breadth-first order.
     """
 
-    def __init__(self, ca: CellularAutomaton):
+    def __init__(self, ca: CellularAutomaton, gap: int = 1):
         offs = [o[0] for o in ca.neighborhood]
         mn = min(offs)
-        m = max(offs) - mn + 1
+        at = [(o - mn) // gap for o in offs]
+        m = max(at) + 1
         q = ca.state_count
         if (bits := q ** (2 * m - 1)) > _TABLE_BITS:  # q^(m-1) vertices x q labels x q^(m-1) bits
             msg = f"subset DFA vertex table needs {_decimal(bits)} bits of target masks"
             raise BudgetExceeded(f"{msg}, cap is {_TABLE_BITS}", cost=bits)
-        # the output of each window u+c, the cells mn..mn+m-1 read big-endian:
-        # the rule's axes moved to their cells' places, broadcast over the rest
-        at = [o - mn for o in offs]
+        # the output of each window u+c, its m cells read big-endian: the
+        # rule's axes moved to their cells' places, broadcast over the rest
         rule = ca._rule_array.transpose(sorted(range(len(at)), key=at.__getitem__))
         self._label = np.empty((q,) * m, dtype=np.int64)
         self._label[...] = rule.reshape([q if p in at else 1 for p in range(m)])
@@ -603,15 +611,47 @@ def out_size_transfer_1d(
     the plan maps its live set onto itself and has no dead pair, c_n is
     never read again and is no longer updated.  Every count and every
     sum at length n is at most q^n, so counts are int64 while
-    q^n < 2^62 and exact Python integers (object arrays) after.  Refuses
-    if the live subset count ever exceeds max_subsets, or when the DFA's
-    vertex table would pass `_TABLE_BITS`.
+    q^n < 2^62 and exact Python integers (object arrays) after.
+
+    A rule whose offsets all lie in one coset a + gZ (g >= 2, the gcd of
+    their differences) is g interleaved copies of its reduced rule, with
+    offsets (o - a)/g, that read disjoint inputs.  Only the reduced rule
+    is counted, up to ceil(n_max / g); with its counts Out' and live'
+    (both 1 at length 0), Out(n) = prod over r < g of Out'(ceil((n - r)/g)),
+    the live subsets multiply alike, so each detail is the undecomposed
+    DFA's, and the loss at n is the sum of the copies' losses.
+
+    Refuses at the first n whose live subset count exceeds max_subsets,
+    with that count as the cost, or when the vertex table of the DFA
+    built (the reduced one for a gapped rule) would pass `_TABLE_BITS`.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    dfa = _SubsetDFA(ca)
+    offs = [o[0] for o in ca.neighborhood]
+    gap = math.gcd(*(o - min(offs) for o in offs))
+    if gap < 2:
+        rows = _path_counts(_SubsetDFA(ca), n_max, max_subsets)
+    else:
+        rows = _interleaved_counts(_SubsetDFA(ca, gap), gap, n_max, max_subsets)
+    q, records, last, detail = ca.state_count, [], 0, ""
+    for n, (out, live) in enumerate(rows, 1):
+        if live != last:
+            last, detail = live, f"subsets={live}"
+        records.append(OutRecord._trusted(MultiIndex._trusted((n,)), out, q, "transfer1d", detail))
+    return records
+
+
+def _too_many_subsets(live: int, n: int, cap: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"subset construction reached {live} live subsets at n={n}, cap is {cap}", cost=live
+    )
+
+
+def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int):
+    """(Out(n), live subsets) for n = 1..n_max, as `out_size_transfer_1d`
+    counts them; raises its refusal at the first n past max_subsets."""
     q = dfa.q
     succ = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
     live = np.zeros(1, dtype=np.int64)
@@ -619,7 +659,6 @@ def out_size_transfer_1d(
     out = 1
     exact_from = next(n for n in range(64) if q**n >= 1 << 62)
     stable = False
-    records = []
     for n in range(1, n_max + 1):
         if not stable:
             if dfa.fresh:
@@ -632,27 +671,46 @@ def out_size_transfer_1d(
             dest = dest[order]
             starts = np.flatnonzero(np.diff(dest, prepend=-1))
             nxt = dest[starts]
-            if len(nxt) > max_subsets:
-                raise BudgetExceeded(
-                    f"subset construction reached {len(nxt)} live subsets at n={n}, "
-                    f"cap is {max_subsets}",
-                    cost=len(nxt),
-                )
+            size = len(nxt)
+            if size > max_subsets:
+                raise _too_many_subsets(size, n, max_subsets)
             # the dead pairs' subsets sum into one more entry, after the live ones
             dead = np.nonzero(step < 0)[0]
             gather = np.concatenate([src[order], dead])
             if len(dead):
                 starts = np.append(starts, len(dest))
             stable = np.array_equal(nxt, live)
-            detail = f"subsets={len(nxt)}"
             live = nxt
         if n == exact_from:
             counts = counts.astype(object)
         if len(dead) or not stable:  # else the counts are never read again
             counts = np.add.reduceat(counts[gather], starts)
         out = q * out - (int(counts[-1]) if len(dead) else 0)
-        records.append(OutRecord._trusted(MultiIndex._trusted((n,)), out, q, "transfer1d", detail))
-    return records
+        yield out, size
+
+
+def _interleaved_counts(dfa: _SubsetDFA, gap: int, n_max: int, max_subsets: int):
+    """(Out(n), live subsets) for n = 1..n_max of a rule whose offsets lie
+    in one coset of gap * Z, from the counts of its reduced rule's `dfa`.
+
+    Length n = gap * k + s + 1 (0 <= s < gap) holds s + 1 copies of length
+    k + 1 and gap - s - 1 of length k.  When the reduced count refuses
+    at length k, its cost is live'(k), and the product passes the cap at
+    some n <= gap * (k - 1) + 1 <= n_max, every factor of which is known.
+    """
+    reduced = [(1, 1)]  # length 0: one (empty) pattern, the full set
+    try:
+        for row in _path_counts(dfa, -(-n_max // gap), max_subsets):
+            reduced.append(row)
+    except BudgetExceeded as exc:
+        reduced.append((None, exc.cost))  # past the cap: only its live count is known
+    for n in range(1, n_max + 1):
+        k, s = divmod(n - 1, gap)
+        (out0, live0), (out1, live1) = reduced[k], reduced[k + 1]
+        live = live1 ** (s + 1) * live0 ** (gap - s - 1)
+        if live > max_subsets:
+            raise _too_many_subsets(live, n, max_subsets)
+        yield out1 ** (s + 1) * out0 ** (gap - s - 1), live
 
 
 def out_sizes(

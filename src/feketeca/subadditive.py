@@ -116,6 +116,17 @@ class SubadditiveFn:
     def __call__(self, x) -> float:
         return float(self.fn(as_index(x, self.dim)))
 
+    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of an (n, dim) int64 array of valid points, as
+        float64: one call of the wrapped callable per row, with one point
+        object alive at a time.  A subclass may compute the same floats
+        as array work."""
+        return np.fromiter(
+            (self.fn(MultiIndex._trusted(c)) for c in zip(*points.T.tolist())),
+            dtype=np.float64,
+            count=len(points),
+        )
+
     def __repr__(self):
         label = self.name or getattr(self.fn, "__name__", "fn")
         return f"SubadditiveFn(dim={self.dim}, {label})"
@@ -173,9 +184,27 @@ def _exceeds(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs > rhs + _REL_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an integer matrix in lexicographic order, and the
-    position of each row of `a` among them."""
+def _unique_rows(a: np.ndarray, radix: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer matrix whose column k holds values in
+    [0, radix[k]), in lexicographic order, and the position of each row of
+    `a` among them.
+
+    Each row is one int64 mixed-radix key when the key space, the product
+    of the radices, is at most 2^62: `np.unique` dedupes the keys and the
+    distinct rows are decoded from them (asking it for first positions
+    instead would force a stable sort).  Past 2^62 rows are sorted by
+    `np.lexsort`, one stable sort per column.
+    """
+    if math.prod(radix) <= 1 << 62:
+        key = a[:, 0]
+        for k in range(1, len(radix)):
+            key = key * radix[k] + a[:, k]
+        key, inverse = np.unique(key, return_inverse=True)
+        cols = []
+        for r in radix[:0:-1]:
+            key, digit = np.divmod(key, r)
+            cols.append(digit)
+        return np.column_stack([key, *cols[::-1]]), inverse
     order = np.lexsort(a.T[::-1])
     ordered = a[order]
     first = np.ones(len(a), dtype=bool)
@@ -208,7 +237,8 @@ def _sample_triples(box: MultiIndex, axes: list[int], seed: int, samples: int):
     room[rows, axis] -= 1
     x = 1 + _floor_below(u[:, 1:d + 1], room)
     y = 1 + _floor_below(u[:, d + 1], sides[axis] - x[rows, axis])
-    triples, _ = _unique_rows(np.column_stack([x, axis, y]))
+    radix = [*(side + 1 for side in box), d, max(box) + 1]
+    triples, _ = _unique_rows(np.column_stack([x, axis, y]), radix)
     return triples[:, :d], triples[:, d], triples[:, d + 1]
 
 
@@ -229,12 +259,14 @@ def check_subadditivity(
     `random.Random(seed)`: an axis that can be split, x on it below the
     box side, the other coordinates of x anywhere in the box, and y up
     to the box side.  A triple drawn twice is tested once, and f is
-    evaluated once per distinct point.  Either way the violations come
-    in the same order: negative values of f first (their own violation
-    kind), in row-major order of the point, then row-major order of x,
-    then axis, then y; so the sampled result is an ordered sublist of
-    the exhaustive one.  Returns the empty list iff the inequality held
-    (up to float rounding noise) on every tested triple.
+    evaluated once per distinct point, by one `f.evaluate_rows` call on
+    the array of distinct points (see `_unique_rows` for the dedupe).
+    Either way the violations come in the same order: negative values
+    of f first (their own violation kind), in row-major order of the
+    point, then row-major order of x, then axis, then y; so the sampled
+    result is an ordered sublist of the exhaustive one.  Returns the
+    empty list iff the inequality held (up to float rounding noise) on
+    every tested triple.
     """
     box = as_index(box, f.dim)
     if subadditivity_triple_count(box) <= exhaustive_limit:
@@ -250,17 +282,12 @@ def check_subadditivity(
     other, total = x.copy(), x.copy()
     other[rows, axis] = y
     total[rows, axis] += y
-    coords, inv = _unique_rows(np.concatenate([x, other, total]))
+    coords, inv = _unique_rows(np.concatenate([x, other, total]), [side + 1 for side in box])
 
     def point(i: int) -> MultiIndex:  # in range by construction
         return MultiIndex._trusted(coords[i].tolist())
 
-    # f runs once per distinct point, with one point object alive at a time
-    vals = np.fromiter(
-        (f.fn(MultiIndex._trusted(c)) for c in zip(*coords.T.tolist())),
-        dtype=np.float64,
-        count=len(coords),
-    )
+    vals = f.evaluate_rows(coords)  # once per distinct point
     xi, oi, ti = inv.reshape(3, -1)
     violations = [
         Violation("negative", -1, point(i), 0, vals[i].item(), 0.0)

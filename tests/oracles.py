@@ -184,3 +184,76 @@ def bit_loop_decision(q, offsets, table, max_subsets=1 << 20):
                 return ("refused", message, len(dfa.masks))
         i += 1
     return ("surjective",)
+
+
+# ------------------------------------------------ the lexsort sampled check
+#
+# The sampled mode of `check_subadditivity` as the package ran it before
+# it keyed rows as integers: rows deduped by `np.lexsort`, one stable sort
+# per column, and f called once per distinct point from a Python loop.
+# Violations are plain tuples (kind, axis, x, y, lhs, rhs).
+
+
+def _lexsort_unique_rows(a):
+    import numpy as np
+
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def lexsort_sampled_check(fn, box, seed=0, samples=10_000):
+    """Violations of f(x with x_j + y) <= f(x) + f(x with y) on `samples`
+    triples drawn from `random.Random(seed)` inside the box, each distinct
+    triple tested once; `fn` takes a tuple of ints and is called once per
+    distinct point."""
+    import random
+
+    import numpy as np
+
+    def floor_below(u, n):
+        return np.minimum((u * n).astype(np.int64), n - 1)
+
+    def exceeds(lhs, rhs):
+        return lhs > rhs + 1e-9 * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+
+    d = len(box)
+    axes = [j for j, side in enumerate(box) if side >= 2]
+    if samples <= 0 or not axes:
+        return []
+    raw = np.frombuffer(random.Random(seed).randbytes(8 * samples * (d + 2)), dtype="<u8")
+    u = ((raw >> np.uint64(11)) * 2.0**-53).reshape(samples, d + 2)
+    sides = np.array(box, dtype=np.int64)
+    rows = np.arange(samples)
+    axis = np.array(axes)[floor_below(u[:, 0], len(axes))]
+    room = np.tile(sides, (samples, 1))
+    room[rows, axis] -= 1
+    x = 1 + floor_below(u[:, 1:d + 1], room)
+    y = 1 + floor_below(u[:, d + 1], sides[axis] - x[rows, axis])
+    triples, _ = _lexsort_unique_rows(np.column_stack([x, axis, y]))
+    x, axis, y = triples[:, :d], triples[:, d], triples[:, d + 1]
+
+    rows = np.arange(len(y))
+    other, total = x.copy(), x.copy()
+    other[rows, axis] = y
+    total[rows, axis] += y
+    coords, inv = _lexsort_unique_rows(np.concatenate([x, other, total]))
+    vals = np.fromiter(
+        (fn(c) for c in zip(*coords.T.tolist())), dtype=np.float64, count=len(coords)
+    )
+    xi, oi, ti = inv.reshape(3, -1)
+    violations = [
+        ("negative", -1, tuple(coords[i].tolist()), 0, vals[i].item(), 0.0)
+        for i in np.flatnonzero(vals < 0)
+    ]
+    lhs, rhs = vals[ti], vals[xi] + vals[oi]
+    bad = exceeds(lhs, rhs)
+    violations += [
+        ("subadditive", a, tuple(coords[i].tolist()), b, lo, hi)
+        for i, a, b, lo, hi in zip(*(part[bad].tolist() for part in (xi, axis, y, lhs, rhs)))
+    ]
+    return violations

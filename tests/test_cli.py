@@ -244,7 +244,12 @@ class TestOutTable:
         # span 20: 2^39 bits of target masks, over the subset DFA's cap
         path = describe(
             "span20",
-            {"dimension": 1, "states": 2, "neighborhood": [0, 19], "rule": {"table": [0, 1, 1, 0]}},
+            {
+                "dimension": 1,
+                "states": 2,
+                "neighborhood": [0, 1, 19],
+                "rule": {"table": [0, 1, 1, 0, 1, 0, 0, 1]},
+            },
         )
         assert cli.main(["out-table", path, "--max-sides", "1"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1] == "1,2,2,1,0,ok"
@@ -257,6 +262,19 @@ class TestOutTable:
             "error: subset DFA vertex table needs 549755813888 bits of target masks, "
             "cap is 8589934592\n",
         )
+        # offsets [0, 19] lie in one coset of 19Z: transfer counts them
+        # through the span-2 reduced rule, byte for byte as brute force does
+        path = describe(
+            "gapped20",
+            {"dimension": 1, "states": 2, "neighborhood": [0, 19], "rule": {"table": [0, 1, 1, 0]}},
+        )
+        tables = []
+        for method in ("transfer", "brute"):
+            argv = ["out-table", path, "--max-sides", "10", "--method", method]
+            assert cli.main(argv) == EXIT_OK
+            tables.append(capsys.readouterr())
+        assert tables[0] == tables[1] and tables[0].err == ""
+        assert tables[0].out.splitlines()[-1] == "10,1024,1024,1,0,ok"
 
     @pytest.mark.parametrize(
         "name, extra, top, rows",

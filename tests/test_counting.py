@@ -350,7 +350,7 @@ class TestSubsetTablePrice:
     q^(m-1)-bit masks, is priced before anything of it is built."""
 
     def test_span_24_is_refused_before_the_table_is_built(self):
-        ca = CellularAutomaton(1, 2, ((0,), (23,)), (0, 1, 1, 0))
+        ca = CellularAutomaton(1, 2, ((0,), (1,), (23,)), (0, 1, 1, 0, 1, 0, 0, 1))
         tracemalloc.start()
         try:
             (rec,) = out_sizes(ca, [1])
@@ -365,6 +365,17 @@ class TestSubsetTablePrice:
         assert peak < 1 << 20
         assert refused.value.cost == 2**47
         assert (rec.out_size, rec.full_size, rec.method) == (2, 2, "bruteforce")
+
+        # offsets (0, 23) lie in one coset of 23Z: transfer counts them
+        # through the span-2 reduced rule, and only the decision is refused
+        gapped = CellularAutomaton(1, 2, ((0,), (23,)), (0, 1, 1, 0))
+        with pytest.raises(BudgetExceeded) as refused:
+            decide_surjectivity_1d(gapped)
+        assert refused.value.cost == 2**47
+        recs = out_sizes(gapped, range(1, 9))
+        assert all(r.method == "transfer1d" for r in recs)
+        brute = out_sizes_bruteforce(gapped, range(1, 9))
+        assert [r.out_size for r in recs] == [r.out_size for r in brute] == [2**n for n in range(1, 9)]
 
     def test_the_cap_admits_a_table_of_exactly_its_size(self, and1d, monkeypatch):
         monkeypatch.setattr(counting, "_TABLE_BITS", 2**3)  # span 2: 2 vertices x 2 labels x 2 bits

@@ -313,22 +313,27 @@ def rule_1d_wide(draw):
     offsets = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k, unique=True))
     while q ** (max(offsets) - min(offsets) + 1) > 128:
         offsets.pop()
+    return q, offsets, _draw_table(draw, q, offsets)
+
+
+def _draw_table(draw, q, offsets):
+    """A random table, a balanced one, or one that permutes the states of
+    the last cell in every context."""
     k = len(offsets)
     rng = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["random", "balanced", "permutive"]))
     if kind == "random":
-        table = [rng.randrange(q) for _ in range(q**k)]
-    elif kind == "balanced":
-        table = [v % q for v in rng.sample(range(q**k), q**k)]
-    else:
-        last = offsets.index(max(offsets))
-        perms = {}
-        table = []
-        for code in range(q**k):
-            digits = [code // q ** (k - 1 - i) % q for i in range(k)]
-            ctx = tuple(digits[:last] + digits[last + 1:])
-            table.append(perms.setdefault(ctx, rng.sample(range(q), q))[digits[last]])
-    return q, offsets, table
+        return [rng.randrange(q) for _ in range(q**k)]
+    if kind == "balanced":
+        return [v % q for v in rng.sample(range(q**k), q**k)]
+    last = offsets.index(max(offsets))
+    perms = {}
+    table = []
+    for code in range(q**k):
+        digits = [code // q ** (k - 1 - i) % q for i in range(k)]
+        ctx = tuple(digits[:last] + digits[last + 1:])
+        table.append(perms.setdefault(ctx, rng.sample(range(q), q))[digits[last]])
+    return table
 
 
 def _transfer_or_refusal(ca, n_max, cap):
@@ -350,6 +355,58 @@ def test_transfer_counts_match_the_bit_loop(rule, cap):
     if refused is None:
         assert got == [(out, f"subsets={live}") for out, live in rows]
         assert all(type(out) is int for out, _ in got)
+
+
+@st.composite
+def gapped_rule_1d(draw):
+    """A 1D rule whose offsets lie in one coset a + gZ, g 2-5, with a < 0
+    (some offsets negative): q 2-4, two or three offsets in any order,
+    q^span <= _SPAN_CAP so the undecomposed oracle can run, and a random,
+    balanced or permutive table."""
+    q = draw(st.integers(2, 4))
+    gap = draw(st.integers(2, 5))
+    span_max = next(m for m in itertools.count() if q ** (m + 1) > _SPAN_CAP)
+    top = (span_max - 1) // gap  # largest reduced offset
+    rest = draw(st.lists(st.integers(1, top), min_size=1, max_size=min(2, top), unique=True))
+    reduced = draw(st.permutations([0, *rest]))
+    shift = draw(st.integers(-gap * max(rest) - 2, -1))
+    offsets = [shift + gap * r for r in reduced]
+    return q, offsets, _draw_table(draw, q, offsets)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rule=gapped_rule_1d(), cap=st.sampled_from([4096, 1, 2, 5, 20, 60]))
+def test_gapped_counts_match_the_undecomposed_bit_loop(rule, cap):
+    """A gapped rule is counted through its reduced rule; its counts,
+    details and refusals are those of the undecomposed DFA, and its counts
+    those of brute force."""
+    q, offsets, table = rule
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    n_max = _LENGTHS[q]
+    rows, refused = oracles.bit_loop_counts(q, offsets, table, n_max, cap)
+    got, got_refused = _transfer_or_refusal(ca, n_max, cap)
+    assert got_refused == refused
+    if refused is None:
+        assert got == [(out, f"subsets={live}") for out, live in rows]
+        assert all(type(out) is int for out, _ in got)
+    transfer = out_size_transfer_1d(ca, 8)
+    for rec, brute in zip(transfer, out_sizes_bruteforce(ca, range(1, 9), budget=_ENUM_CAP)):
+        if not isinstance(brute, counting.BudgetExceeded):
+            assert rec.out_size == brute.out_size
+
+
+def test_a_gapped_refusal_is_priced_on_the_product():
+    """q = 3, offsets (0, 2): the reduced rule (offsets (0, 1)) first has
+    3 > 2 live subsets at length 2, but the undecomposed DFA already has
+    2 * 2 at n = 2, and that is the refusal."""
+    q, offsets, table, cap = 3, [0, 2], [0, 0, 0, 0, 0, 0, 0, 0, 1], 2
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    rows, refused = oracles.bit_loop_counts(q, offsets, table, 10, cap)
+    assert refused == ("subset construction reached 4 live subsets at n=2, cap is 2", 4)
+    assert _transfer_or_refusal(ca, 10, cap) == (None, refused)
+    with pytest.raises(counting.BudgetExceeded) as reduced:
+        out_size_transfer_1d(CellularAutomaton(1, q, ((0,), (1,)), table), 10, cap)
+    assert reduced.value.cost == 3
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -4,6 +4,7 @@ import random
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from feketeca import (
     subadditive,
     subadditivity_triple_count,
 )
+
+import oracles
 
 TRIPLE_N = SubadditiveFn(1, lambda x: 3.0 * x[0], name="3n")
 SQUARE = SubadditiveFn(1, lambda x: float(x[0] ** 2), name="n^2")
@@ -283,6 +286,57 @@ class TestSampledCheck:
     def test_zero_samples_test_nothing(self):
         assert subadditivity_triple_count((2000,)) > 10**6
         assert check_subadditivity(SQUARE, (2000,), samples=0) == []
+
+
+@st.composite
+def sampled_case(draw):
+    """(name, box, seed, samples) for the sampled check: d 1-3, each side
+    up to 10^4 or from 2^31 to 2^62 (object columns for the builtins), so
+    the key spaces of triples and points fall on both sides of 2^62."""
+    d = draw(st.integers(1, 3))
+    side = st.integers(2, 10**4) | st.integers(1 << 31, 1 << 62)
+    box = tuple(draw(st.lists(side, min_size=d, max_size=d)))
+    name = draw(st.sampled_from({1: ["3n", "n^2", "user"], 2: ["xy+x+y", "user"], 3: ["user"]}[d]))
+    return name, box, draw(st.integers(0, 2**32)), draw(st.integers(1, 20000))
+
+
+def _user_fn(x):
+    """Neither subadditive nor nonnegative: both violation kinds show."""
+    return float(sum((j + 2) * c for j, c in enumerate(x)) % 23) - 3.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sampled_case())
+def test_sampled_check_matches_the_lexsort_check(case):
+    """The keyed dedupe and the builtins' array evaluation find the
+    violations of the lexsort check with per-point calls (tests/oracles.py),
+    in the same order, and a user fn is called once per distinct point."""
+    name, box, seed, samples = case
+    from feketeca import cli
+
+    calls, oracle_calls = {}, {}
+
+    def counted(log):
+        def fn(x):
+            log[tuple(x)] = log.get(tuple(x), 0) + 1
+            return _user_fn(x)
+
+        return fn
+
+    if name == "user":
+        f = SubadditiveFn(len(box), counted(calls))
+        reference = counted(oracle_calls)
+    else:
+        f = cli._FEKETE_BUILTINS[name]()
+        reference = {"3n": TRIPLE_N, "n^2": SQUARE, "xy+x+y": PROD_PLUS}[name].fn
+    got = check_subadditivity(f, box, exhaustive_limit=0, seed=seed, samples=samples)
+    want = oracles.lexsort_sampled_check(reference, box, seed=seed, samples=samples)
+    assert [(v.kind, v.axis, tuple(v.x), v.y, v.lhs, v.rhs) for v in got] == want
+    assert calls == oracle_calls and set(calls.values()) <= {1}
+    # the builtins' values themselves, where the check saw no violation
+    corners = [box, (1,) * len(box), tuple(max(1, side // 3) for side in box)]
+    values = f.evaluate_rows(np.array(corners, dtype=np.int64)).tolist()
+    assert values == [float(reference(MultiIndex(c))) for c in corners]
 
 
 class TestRunningInfimum:
