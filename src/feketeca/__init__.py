@@ -33,6 +33,7 @@ from .counting import (
     BudgetExceeded,
     OrphanCertificate,
     OutRecord,
+    OutTable,
     decide_surjectivity_1d,
     find_orphan,
     log_base,
@@ -61,7 +62,7 @@ __all__ = [
     "CellularAutomaton", "RightPolytope", "Pattern",
     "encode_states", "decode_states", "minkowski_sum",
     "induced_map", "make_builtin", "BUILTIN_NAMES",
-    "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OrphanCertificate",
+    "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OutTable", "OrphanCertificate",
     "out_sizes_bruteforce", "out_size_transfer_1d", "out_sizes", "find_orphan",
     "decide_surjectivity_1d", "log_base",
     "LambdaEstimate", "ThresholdReport", "VerdictStatus",

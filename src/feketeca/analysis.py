@@ -1,11 +1,11 @@
 """Per-cell limit, loss thresholds and surjectivity verdicts.
 
 Loss at a box is volume minus log_q(output size), measured in q-its
-(one q-it = log2 q bits); each `OutRecord` carries it as `lambda_qits`,
-beside `ratio` = log_q(output size)/volume.  The per-cell limit of the
-ratio is estimated by `running_infimum` over the records; it equals 1
-exactly when the automaton is surjective, so any certified upper bound
-below 1 is a nonsurjectivity signal.  The threshold is a proof: the
+(one q-it = log2 q bits); each `OutRecord` row view carries it as
+`lambda_qits`, beside `ratio` = log_q(output size)/volume.  The per-cell
+limit of the ratio is estimated by the running infimum over the count
+table's columns; it equals 1 exactly when the automaton is surjective,
+so any certified upper bound below 1 is a nonsurjectivity signal.  The threshold is a proof: the
 loss is superadditive along each axis, so one deficient count t, checked
 in integers at one diagonal box T, shows that the loss dominates the
 boundary excess plus an integer constant on every box from T on.
@@ -29,6 +29,7 @@ from .counting import (
     BudgetExceeded,
     OrphanCertificate,
     OutRecord,
+    OutTable,
     _enumeration_cells,
     _orphan,
     decide_surjectivity_1d,
@@ -37,12 +38,11 @@ from .counting import (
 from .subadditive import (
     FeketeEstimate,
     MultiIndex,
-    SubadditiveFn,
     Violation,
     _grid,
+    _infimum,
     as_index,
     check_subadditivity_on_table,
-    running_infimum,
 )
 
 __all__ = [
@@ -72,14 +72,19 @@ class LambdaEstimate:
     """Bracketed estimate of the per-cell limit of log_q(output size).
 
     The limit is at most 1, with equality exactly for surjective
-    automata; the bracket is clamped to [0, 1] accordingly.  `records`
-    come in the order of `estimate.evaluated_boxes`, so `estimate.ratios`
-    holds their ratios in turn.  `notes` names each scheduled box refused
-    for budget.
+    automata; the bracket is clamped to [0, 1] accordingly.  Its upper
+    end is certified; its lower end is `FeketeEstimate.tail_slope`, an
+    empirical estimate that can miss the limit: and2d's default schedule
+    (1x1, 2x2, 3x3) puts the whole bracket above log2(1948356)/24, the
+    bound that Out(4, 6) proves, and and1d at diag:1..2000 puts it 2.9e-13
+    above the limit log2(rho).  `records` is the `OutTable` of the
+    counted boxes, in the order of `estimate.evaluated_boxes`, so
+    `estimate.ratios` holds their ratios in turn.  `notes` names each
+    scheduled box refused for budget.
     """
 
     estimate: FeketeEstimate
-    records: tuple[OutRecord, ...]
+    records: OutTable
     notes: tuple[str, ...] = ()
     subadditivity_violations: tuple[Violation, ...] = ()
 
@@ -99,47 +104,41 @@ def lambda_estimate(
 ) -> LambdaEstimate:
     """Estimate the per-cell limit over a schedule of box sizes.
 
-    Output sizes come from `out_sizes`, one record per distinct box in
-    schedule order (first occurrence); boxes refused for budget are
-    skipped, each named in `notes`.  `running_infimum` runs on
-    the records' boxes with f = log_q(out), so its ratios are the
-    records' own `ratio`s.  The exact counts are checked log-subadditive,
+    Output sizes come from one `out_sizes` call, which coerces each box
+    once; the table keeps the first row of each box, in schedule order,
+    and drops boxes refused for budget, each named in `notes`.  The
+    running infimum reads its columns, f = `log_out`.  The exact counts
+    are checked log-subadditive,
     Out(x + y) <= Out(x) * Out(y) in integers, by the multiplicative
     `check_subadditivity_on_table` on the keys whose every side is at
     most `_EXACT_CHECK_SIDE` or a power of two.  In d >= 2 that is every
-    key: a box is only counted when q^volume fits the 63-bit code width,
-    so no side exceeds 62.  In 1D it is every split of a length <= 64
-    plus the doublings 2^k + 2^k = 2^(k+1) at every scale.  A violation
-    contradicts the pattern-joining argument, so it flags a counting bug
-    rather than a property of the automaton."""
-    boxes = list(dict.fromkeys(as_index(b, ca.dimension) for b in schedule))
-    if not boxes:
+    key: a box is only counted when its q^volume-byte bitmap fits
+    `counting._BITMAP_BYTES` (2^30), so no side exceeds 30.  In 1D it is
+    every split of a length <= 64 plus the doublings 2^k + 2^k = 2^(k+1)
+    at every scale.  A violation contradicts the pattern-joining
+    argument, so it flags a counting bug rather than a property of the
+    automaton."""
+    table = out_sizes(ca, schedule, budget)
+    # each box's first row: walking back, it is the last to set its entry
+    rows = sorted(dict(zip(reversed(table.sides), range(len(table) - 1, -1, -1))).values())
+    skipped = [i for i in rows if i in table.refused]
+    notes = tuple(f"skipped {tuple(table.sides[i])}: {table.counts[i]}" for i in skipped)
+    if not rows:
         raise ValueError("schedule must be nonempty")
-
-    by_box: dict[MultiIndex, OutRecord] = {}
-    notes = []
-    for b, rec in zip(boxes, out_sizes(ca, boxes, budget)):
-        if isinstance(rec, BudgetExceeded):
-            notes.append(f"skipped {tuple(b)}: {rec}")
-        else:
-            by_box[b] = rec
-    if not by_box:
+    if len(notes) == len(rows):
         raise BudgetExceeded("no scheduled box fits the budget")
+    if len(rows) - len(notes) < len(table):
+        table = table.take([i for i in rows if i not in table.refused])
 
-    checked = {
-        x: rec.out_size for x, rec in by_box.items()
-        if all(s <= _EXACT_CHECK_SIDE or s & (s - 1) == 0 for s in x)
-    }
+    exact = {s for s in set().union(*table.sides) if s <= _EXACT_CHECK_SIDE or s & (s - 1) == 0}
+    checked = {x: n for x, n in zip(table.sides, table.counts) if exact.issuperset(x)}
     violations = ()
     if checked:
         violations = tuple(check_subadditivity_on_table(checked, multiplicative=True))
-
-    name = f"log{ca.state_count}(out[{ca.name or 'ca'}])"
-    fn = SubadditiveFn(ca.dimension, lambda x: by_box[x].log_out, name=name)
     return LambdaEstimate(
-        estimate=running_infimum(fn, list(by_box)),
-        records=tuple(by_box.values()),
-        notes=tuple(notes),
+        estimate=_infimum(table.sides, table.log_out.tolist(), table.volumes.tolist()),
+        records=table,
+        notes=notes,
         subadditivity_violations=violations,
     )
 
@@ -284,7 +283,7 @@ def surjectivity_report(
     orphan, spending at most `budget` enumerated inputs in total;
     surjectivity is never claimed, so exhausting the budget yields
     UNKNOWN with the cleared sizes.  One E+N per box prices and enumerates
-    it; a box whose codes pass the 63-bit width raises that refusal.
+    it; a box whose bitmap passes `_BITMAP_BYTES` raises that refusal.
     """
     if ca.dimension == 1:
         try:
@@ -303,7 +302,7 @@ def surjectivity_report(
         try:
             E, cells, shifted = _enumeration_cells(ca, sides, remaining)
         except BudgetExceeded as exc:
-            if exc.cost <= remaining:  # the code width, not the budget
+            if exc.cost <= remaining:  # the bitmap's bytes, not the budget
                 raise
             note = (f"budget exhausted at size {tuple(sides)} "
                     f"(cost {exc.cost} > remaining {remaining})")

@@ -51,8 +51,8 @@ class DescriptionError(Exception):
     """Invalid automaton description file; the message names the bad key."""
 
 
-def _fmt12(value: float) -> str:
-    return format(value, ".12g")
+# a float to 12 significant digits, as format(value, ".12g") writes it
+_fmt12 = "%.12g".__mod__
 
 
 def parse_sides(token: str, dim: int | None = None) -> MultiIndex:
@@ -204,7 +204,8 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex]:
+def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex] | None:
+    """The boxes of an out-table; None for --max-sides by transfer (all lengths)."""
     if args.sides_list is not None:
         tokens = [tok for tok in args.sides_list.split(",") if tok.strip()]
         sides = [parse_sides(tok, ca.dimension) for tok in tokens]
@@ -214,7 +215,7 @@ def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex]:
     n = args.max_sides
     if n < 1:
         raise DescriptionError(f"--max-sides must be >= 1, got {n}")
-    return _grid(MultiIndex._trusted((n,) * ca.dimension))
+    return None if args.method == "transfer" else _grid(MultiIndex._trusted((n,) * ca.dimension))
 
 
 def cmd_out_table(args) -> int:
@@ -224,41 +225,63 @@ def cmd_out_table(args) -> int:
     if method == "transfer" and ca.dimension != 1:
         raise DescriptionError("method 'transfer' requires a 1-dimensional automaton")
     if method == "auto":
-        records = out_sizes(ca, sides_list, budget=args.budget)
+        table = out_sizes(ca, sides_list, budget=args.budget)
     elif method == "brute":
-        records = out_sizes_bruteforce(ca, sides_list, budget=args.budget)
-    else:  # a refusal propagates: error, exit 2
-        by_length = out_size_transfer_1d(ca, max(s[0] for s in sides_list))
-        records = [by_length[s[0] - 1] for s in sides_list]
+        table = out_sizes_bruteforce(ca, sides_list, budget=args.budget)
+    elif sides_list is None:  # a refusal propagates: error, exit 2
+        table = out_size_transfer_1d(ca, args.max_sides)
+    else:
+        lengths = [s[0] for s in sides_list]
+        table = out_size_transfer_1d(ca, max(lengths)).take([n - 1 for n in lengths], sides_list)
 
     out, close = _open_out(args.out)
     try:
         if labels:
             print("# states: " + " ".join(f"{lab}={i}" for lab, i in labels.items()), file=out)
-        # no field holds a comma, a quote or a line break, so a row is its
-        # fields joined by commas, as csv would write it
-        lines = [
-            ",".join(
-                [f"x{i+1}" for i in range(ca.dimension)]
-                + ["out_size", "full_size", "ratio", "lambda_qits", "status"]
-            )
-        ]
-        for sides, rec in zip(sides_list, records):
-            head = ",".join(map(str, sides))
-            if isinstance(rec, BudgetExceeded):
-                status = f"refused: cost {_decimal(rec.cost)} exceeds budget {args.budget}"
-                lines.append(f"{head},,,,,{status}")
-                continue
-            log, volume = rec.log_out, rec.sides.volume
-            lines.append(
-                f"{head},{_decimal(rec.out_size)},{_decimal(rec.full_size)},"
-                f"{log / volume:.12g},{volume - log:.12g},ok"
-            )
+        header = [f"x{i+1}" for i in range(ca.dimension)]
+        header += ["out_size", "full_size", "ratio", "lambda_qits", "status"]
+        vol, log = table.volumes, table.log_out
+        fmt = "%d," * ca.dimension + "%d,%d,%.12g,%.12g,ok"
+        # a refused row is written with count 1, then replaced
+        columns = [*_axes(table, ca.dimension), table.filled(table.counts, 1)]
+        full = _powers(ca.state_count, vol.tolist())
+        columns += [full, (log / vol).tolist(), (vol - log).tolist()]
+        lines = [",".join(header), *_csv_rows(fmt, columns)]
+        for i in table.refused:
+            refusal, head = table.counts[i], ",".join(map(str, table.sides[i]))
+            if refusal.cost > args.budget:
+                refusal = f"cost {_decimal(refusal.cost)} exceeds budget {args.budget}"
+            lines[i + 1] = f"{head},,,,,refused: {refusal}"
         out.write("\n".join(lines) + "\n")
     finally:
         if close:
             out.close()
     return EXIT_OK
+
+
+def _axes(table, dim: int) -> list:
+    """The columns of the boxes' sides; in 1D, the lengths, which are the volumes."""
+    return [table.volumes.tolist()] if dim == 1 else list(zip(*table.sides))
+
+
+def _csv_rows(fmt: str, columns: list) -> list[str]:
+    """fmt % each row of the columns: no field holds a comma, a quote or a
+    line break, so that is how csv writes it.  If an int passes `str`'s
+    digit limit, every int is written by `_decimal`."""
+    try:
+        return list(map(fmt.__mod__, zip(*columns)))
+    except ValueError:
+        columns = [list(map(_decimal, c)) if type(c[0]) is int else c for c in columns]
+        return list(map(fmt.replace("%d", "%s").__mod__, zip(*columns)))
+
+
+def _powers(q: int, exponents: list[int]) -> list[int]:
+    """q**e for each e, read off the powers up to the largest e, one
+    product each, while that is at most twice the exponents' count."""
+    powers = [1]
+    for _ in range(min(max(exponents), 2 * len(exponents))):
+        powers.append(powers[-1] * q)
+    return [powers[e] if e < len(powers) else q**e for e in exponents]
 
 
 def certificate_block(cert: OrphanCertificate, q: int) -> str:
@@ -317,11 +340,10 @@ def cmd_lambda(args) -> int:
         print(f"partial: {note}")
     out, close = _open_out(args.out)
     try:
-        # joined CSV rows, as in out-table
-        lines = [",".join([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])]
-        for rec, ratio in zip(est.records, est.estimate.ratios):
-            lines.append(f"{','.join(map(str, rec.sides))},{_decimal(rec.out_size)},{ratio:.12g}")
-        out.write("\n".join(lines) + "\n")
+        header = ",".join([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])
+        columns = [*_axes(est.records, ca.dimension), est.records.counts, est.estimate.ratios]
+        rows = _csv_rows("%d," * ca.dimension + "%d,%.12g", columns)
+        out.write("\n".join([header, *rows]) + "\n")
     finally:
         if close:
             out.close()

@@ -43,8 +43,8 @@ can produce on a box):
   target table, q^(2m-1) bits for span m, is priced first and refused
   past `_TABLE_BITS`.  A rule whose offsets all lie in one coset
   a + gZ, g >= 2, is g independent interleaved copies of its reduced
-  rule, with offsets (o - a)/g, so the count builds, prices and steps
-  only the reduced rule's DFA: Out(n) is the product over r < g of
+  rule, with offsets (o - a)/g, so the count builds, prices, steps and
+  caps only the reduced rule's DFA: Out(n) is the product over r < g of
   Out'(ceil((n - r)/g)), the live subsets multiply alike, and the loss
   is the sum of the copies' losses.  The decision is not decomposed.
 
@@ -52,10 +52,10 @@ can produce on a box):
 1, brute force in higher dimensions or when the DFA refuses.  The two
 routes must agree wherever both run; they share no machinery.  Counts
 are exact Python integers (q^volume overflows fixed width at modest
-sizes); only the 1D count keeps int64 while its bound allows.  Each
-`OutRecord` carries its own loss: `log_out`, `ratio` and `lambda_qits`
-are properties read off the count, so there is one place that turns a
-count into q-its.  Orphan search lives here too.
+sizes); only the 1D count keeps int64 while its bound allows.  Both
+routes return one `OutTable` of columns, and its `log_out` column is the
+one place that turns counts into q-its; indexing the table gives
+`OutRecord` row views.  Orphan search lives here too.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -76,6 +76,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceeded",
     "OutRecord",
+    "OutTable",
     "OrphanCertificate",
     "log_base",
     "out_sizes_bruteforce",
@@ -93,13 +94,17 @@ _CHUNK = 1 << 20
 # Most bits the 1D subset DFA's target masks take: 2^30 bytes.
 _TABLE_BITS = 1 << 33
 
+# Most bytes a brute-force bitmap takes: a box's q^volume codes, or a
+# half's codes over its band states.
+_BITMAP_BYTES = 1 << 30
+
 # A packed vertex set of the subset DFA is a row of these words; _BIT[b]
 # is the word with bit b set.
 _WORD = np.dtype("<u8")
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
-# Most target-table words the subset DFA gathers at once (a block of
-# subsets, or one subset whose own gather is larger).
+# Most words the subset DFA or a join gathers at once (a block of rows,
+# or one row whose own gather is larger).
 _GATHER_WORDS = 1 << 20
 
 # Most vertex bits, in a batch of subsets plus the q * q^(m-1) windows of
@@ -142,11 +147,19 @@ def log_base(n: int, q: int) -> float:
     """log_q of a positive integer, exact when n is a power of q."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = math.log(n) / math.log(q)
-    k = round(x)
-    # q^k is built only when n can be it: log_q n is then k up to rounding
-    if abs(x - k) <= 1e-9 * max(1, k) and q**k == n:
-        return float(k)
+    return _log_column([n], q)[0].item()
+
+
+def _log_column(counts: list[int], q: int) -> np.ndarray:
+    """log_q of each positive int, as one float64 array: the quotient of
+    natural logs, or k exactly where that lies within 1e-9 * max(1, k) of
+    an integer k and the int is q^k (q^k is built only for those)."""
+    x = np.fromiter(map(math.log, counts), dtype=np.float64, count=len(counts))
+    x /= math.log(q)
+    k = x.round()
+    for i in np.flatnonzero(abs(x - k) <= 1e-9 * np.maximum(k, 1.0)).tolist():
+        if q ** int(k[i]) == counts[i]:
+            x[i] = k[i]
     return x
 
 
@@ -167,15 +180,6 @@ class OutRecord:
     method: str
     detail: str = ""
 
-    @classmethod
-    def _trusted(
-        cls, sides: MultiIndex, out_size: int, q: int, method: str, detail: str = ""
-    ) -> "OutRecord":
-        """A record from fields the caller already validated."""
-        rec = object.__new__(cls)
-        vars(rec).update(sides=sides, out_size=out_size, q=q, method=method, detail=detail)
-        return rec
-
     @property
     def full_size(self) -> int:
         return self.q**self.sides.volume
@@ -191,6 +195,60 @@ class OutRecord:
     @property
     def lambda_qits(self) -> float:
         return self.sides.volume - self.log_out
+
+
+class OutTable:
+    """Exact output sizes of a list of boxes, as columns: row i is the box
+    `sides[i]`, its exact count `counts[i]` (or, for i in `refused`, the
+    `BudgetExceeded` refusal) and its `OutRecord.detail`.  A table of the
+    lengths 1..n builds its `sides` on first use.  `log_out` holds log_q
+    of every count (0 on a refused row), exact on powers of q.  Indexing
+    or iterating gives `OutRecord` row views, or the refusal."""
+
+    def __init__(self, q: int, method: str, counts: list, details: list, sides=None, refused=()):
+        self.q, self.method, self.counts, self.details = q, method, counts, details
+        self._sides, self.refused = sides, refused
+
+    @property
+    def sides(self) -> list[MultiIndex]:
+        if self._sides is None:
+            self._sides = list(map(MultiIndex._trusted, zip(range(1, len(self) + 1))))
+        return self._sides
+
+    @cached_property
+    def volumes(self) -> np.ndarray:
+        """Each box's volume as int64, 1 on a refused row (whose box may not fit)."""
+        if self._sides is None:
+            return np.arange(1, len(self) + 1)
+        return np.fromiter(map(math.prod, self.filled(self._sides, (1,))), np.int64, len(self))
+
+    @cached_property
+    def log_out(self) -> np.ndarray:
+        return _log_column(self.filled(self.counts, 1), self.q)
+
+    def filled(self, column: list, fill) -> list:
+        """The column with `fill` on the refused rows."""
+        if not self.refused:
+            return column
+        return [fill if i in self.refused else v for i, v in enumerate(column)]
+
+    def take(self, rows: list[int], sides=None) -> "OutTable":
+        """The table of these rows in turn; `sides`, when given, are their boxes."""
+        refused = [j for j, i in enumerate(rows) if i in self.refused] if self.refused else ()
+        counts, details = ([col[i] for i in rows] for col in (self.counts, self.details))
+        sides = sides or [self.sides[i] for i in rows]
+        return OutTable(self.q, self.method, counts, details, sides, refused)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
+        count = self.counts[i]
+        if isinstance(count, BudgetExceeded):
+            return count
+        return OutRecord(self.sides[i], count, self.q, self.method, self.details[i])
 
 
 @dataclass(frozen=True)
@@ -216,9 +274,9 @@ def _enumeration_cells(
             f"enumeration needs {_decimal(cost)} input patterns ({q}^{L}), budget is {budget}",
             cost=cost,
         )
-    if q**E.volume > 1 << 62:
+    if (size := q**E.volume) > _BITMAP_BYTES:
         raise BudgetExceeded(
-            f"output codes ({q}^{E.volume}) exceed the 63-bit code width", cost=cost
+            f"output bitmap of {q}^{E.volume} bytes exceeds the {_BITMAP_BYTES}-byte cap", cost=size
         )
     return E, cells, shifted
 
@@ -244,10 +302,10 @@ def _image_bitmap(
     the offset of largest coordinate along the cut lies in c2 minus c1
     (and E1 shifted by the smallest in c1 minus c2).  So each half bitmap
     takes at most q^|c_i| bytes, and the join gathers packed rows of Bm,
-    one per true entry of A, about q^|E+N| / 8 bytes, with 16 bytes of
-    indices per true entry of A; all of it is allocated after the budget
-    check that priced q^|E+N|.  Smaller boxes, boxes of one cell and
-    halves whose codes would pass the 63-bit width are enumerated whole.
+    one per true entry of A, in blocks of at most `_GATHER_WORDS` words;
+    all of it is allocated after the budget check that priced q^|E+N| and
+    the box bitmap's q^volume bytes.  Smaller boxes, boxes of one cell and
+    halves whose bitmaps would pass `_BITMAP_BYTES` are enumerated whole.
     """
     q = ca.state_count
     L = len(cells)
@@ -263,7 +321,7 @@ def _image_bitmap(
         ]
         (c1, sh1), (c2, sh2) = (_minkowski(half, ca.neighborhood) for half in halves)
         band = tuple(sorted(set(c1).intersection(c2)))
-        if all(q ** (len(band) + half.volume) <= 1 << 62 for half in halves):
+        if all(q ** (len(band) + half.volume) <= _BITMAP_BYTES for half in halves):
             (A, n1), (Bm, n2) = (_enumerate(ca, c, band, sh) for c, sh in ((c1, sh1), (c2, sh2)))
             rows = q ** len(band)
             return _join(A.reshape(rows, -1), Bm.reshape(rows, -1)), f"cells={L},chunks={n1 + n2}"
@@ -331,14 +389,18 @@ def _join(A: np.ndarray, Bm: np.ndarray) -> np.ndarray:
     """Flat bitmap of (a, b) with A[s, a] and Bm[s, b] for some band state s.
 
     The rows of Bm are packed to bits, gathered once per true entry of A
-    grouped by a, and OR-ed per group with one `reduceat`."""
+    grouped by a, and OR-ed per group with one `reduceat`, for a block of
+    a at a time whose gather takes at most `_GATHER_WORDS` words (or one a)."""
     n2 = Bm.shape[1]
     packed = np.packbits(Bm, axis=1)
-    a, s = np.nonzero(A.T)  # grouped by a
-    starts = np.flatnonzero(np.diff(a, prepend=-1))
-    rows = np.bitwise_or.reduceat(packed[s], starts, axis=0)
     seen = np.zeros((A.shape[1], n2), dtype=bool)
-    seen[a[starts]] = np.unpackbits(rows, axis=1, count=n2).view(bool)
+    per = max(1, 8 * _GATHER_WORDS // packed.size)
+    for a0 in range(0, A.shape[1], per):
+        a, s = np.nonzero(A[:, a0:a0 + per].T)  # grouped by a
+        if len(a):
+            starts = np.flatnonzero(np.diff(a, prepend=-1))
+            rows = np.bitwise_or.reduceat(packed[s], starts, axis=0)
+            seen[a0 + a[starts]] = np.unpackbits(rows, axis=1, count=n2).view(bool)
     return seen.ravel()
 
 
@@ -363,24 +425,31 @@ def _restrict(seen: np.ndarray, sides: MultiIndex, sub: MultiIndex, q: int) -> n
 
 
 def _any_middle(x: np.ndarray) -> np.ndarray:
-    """x.any(axis=1) for a three-axis x.  numpy runs that reduction as one
-    inner loop per row of the middle axis, which is slow for short rows;
-    OR-ing the slices instead is several times faster up to 16 of them."""
+    """x.any(axis=1) for a three-axis bool x.  A trailing group (last axis
+    of one) of 2, 4 or 8k bytes is read as one uint16, one uint32 or k
+    uint64 words per row.  numpy reduces the middle axis one row at a
+    time, slow for short rows, so up to 16 slices are OR-ed instead."""
+    rows, group, after = x.shape
+    if after == 1 and group in (2, 4):
+        return x.reshape(rows, group).view(f"u{group}") != 0
+    if after == 1 and group % 8 == 0:
+        x = x.reshape(rows, group // 8, 8).view(np.uint64)
     if x.shape[1] > _SHORT_GROUP:
         return x.any(axis=1)
     out = x[:, 0].copy()
     for g in range(1, x.shape[1]):
         out |= x[:, g]
-    return out
+    return out if out.dtype == bool else out != 0
 
 
 def out_sizes_bruteforce(
     ca: CellularAutomaton, sides_list, budget: int = DEFAULT_BUDGET, origin=None
-) -> list[OutRecord | BudgetExceeded]:
+) -> OutTable:
     """Exact output sizes of boxes at one origin, one enumeration per maximal box.
 
-    Returns one OutRecord, or the BudgetExceeded refusal, per box in order;
-    a box is refused exactly when its own q^|E+N| exceeds the budget.  Only
+    Returns one `OutTable` row per box in order, its count or the
+    BudgetExceeded refusal; a box is refused exactly when its own
+    q^|E+N| exceeds the budget, or its bitmap `_BITMAP_BYTES`.  Only
     the fitting boxes that lie in no larger fitting box of the list are
     enumerated.  Every other fitting box is read off such a container's
     bitmap (`_restrict`), which is exact because E' <= E gives
@@ -389,7 +458,7 @@ def out_sizes_bruteforce(
     """
     boxes = [as_index(s, ca.dimension) for s in sides_list]
     origin = _as_origin(origin, ca.dimension)
-    results: list[OutRecord | BudgetExceeded | None] = [None] * len(boxes)
+    counts, details = [None] * len(boxes), [""] * len(boxes)
     groups: dict[int, list[int]] = {}  # container -> the boxes read off it
     enumerated = {}  # container -> its box, E+N cells and shifts from the budget check
     # a box's strict supersets have larger volume, so they come first
@@ -397,49 +466,39 @@ def out_sizes_bruteforce(
         try:
             found = _enumeration_cells(ca, boxes[i], budget, origin)
         except BudgetExceeded as exc:
-            # kept without its traceback, whose frame would hold `results`
+            # kept without its traceback, whose frame would hold `counts`
             # and so the refusal itself, a cycle only the garbage collector
             # frees (at the bench's pass rate, +1 MB of peak memory)
-            results[i] = exc.with_traceback(None)
+            counts[i] = exc.with_traceback(None)
             continue
         home = next((c for c in groups if all(map(operator.le, boxes[i], boxes[c]))), i)
         if home == i:
             enumerated[i] = found
         groups.setdefault(home, []).append(i)
-    for c, members in groups.items():
-        records = _read_group(ca, *enumerated[c], [boxes[i] for i in members])
-        for i, rec in zip(members, records):
-            results[i] = rec
-    return results
+    for c, rows in groups.items():
+        for i, count, detail in _read_group(ca, *enumerated[c], [boxes[i] for i in rows], rows):
+            counts[i], details[i] = count, detail
+    refused = tuple(i for i, count in enumerate(counts) if isinstance(count, BudgetExceeded))
+    return OutTable(ca.state_count, "bruteforce", counts, details, boxes, refused)
 
 
 def _read_group(
-    ca: CellularAutomaton, E: RightPolytope, cells: tuple, shifted: list, boxes: list[MultiIndex]
-) -> list[OutRecord]:
-    """Records of boxes inside the container E, whose E+N cells and shifts
-    are given, from one enumeration of it; its bitmap is freed on return,
-    before the next container is enumerated."""
+    ca: CellularAutomaton, E: RightPolytope, cells: tuple, shifted: list, boxes: list, rows: list
+):
+    """(row, count, detail) of each box inside the container E, whose E+N
+    cells and shifts are given, from one enumeration of it; its bitmap is
+    freed once they are read, before the next container is enumerated."""
     q = ca.state_count
     container = E.sides
     seen, detail = _image_bitmap(ca, E, cells, shifted)
     source = "from=" + "x".join(map(str, container))
     last, last_seen = container, seen
-    records = []
-    for sides in boxes:
+    for row, sides in zip(rows, boxes):
         # nested boxes come in turn: read each off the one before
         if not all(map(operator.le, sides, last)):
             last, last_seen = container, seen
         last, last_seen = sides, _restrict(last_seen, last, sides, q)
-        records.append(
-            OutRecord(
-                sides,
-                int(np.count_nonzero(last_seen)),
-                q,
-                "bruteforce",
-                detail if sides == container else source,
-            )
-        )
-    return records
+        yield row, int(np.count_nonzero(last_seen)), detail if sides == container else source
 
 
 def find_orphan(
@@ -592,8 +651,8 @@ class _SubsetDFA:
 
 def out_size_transfer_1d(
     ca: CellularAutomaton, n_max: int, max_subsets: int = 1 << 16
-) -> list[OutRecord]:
-    """Exact output sizes for n = 1..n_max via the subset DFA.
+) -> OutTable:
+    """Exact output sizes for n = 1..n_max via the subset DFA, one table row each.
 
     With c_n[s] the number of words of length n that lead from the full
     set to subset s, Out(n) is the sum of c_n over the live subsets.
@@ -623,40 +682,40 @@ def out_size_transfer_1d(
 
     Refuses at the first n whose live subset count exceeds max_subsets,
     with that count as the cost, or when the vertex table of the DFA
-    built (the reduced one for a gapped rule) would pass `_TABLE_BITS`.
+    built would pass `_TABLE_BITS`.  A gapped rule is capped on its
+    reduced DFA: past max_subsets at reduced length k, it refuses at
+    n = g(k - 1) + 1, the first length with a copy of length k.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     offs = [o[0] for o in ca.neighborhood]
-    gap = math.gcd(*(o - min(offs) for o in offs))
-    if gap < 2:
-        rows = _path_counts(_SubsetDFA(ca), n_max, max_subsets)
-    else:
-        rows = _interleaved_counts(_SubsetDFA(ca, gap), gap, n_max, max_subsets)
-    q, records, last, detail = ca.state_count, [], 0, ""
-    for n, (out, live) in enumerate(rows, 1):
-        if live != last:
-            last, detail = live, f"subsets={live}"
-        records.append(OutRecord._trusted(MultiIndex._trusted((n,)), out, q, "transfer1d", detail))
-    return records
+    gap = math.gcd(*(o - min(offs) for o in offs)) or 1  # 0 for one offset
+    counts, lives = _path_counts(_SubsetDFA(ca, gap), -(-n_max // gap), max_subsets, gap)
+    if gap > 1:  # n = gap * k + s + 1 holds s + 1 copies of length k + 1, gap - s - 1 of k
+        cols = []
+        for col in (counts, lives):
+            of = np.array([1, *col], dtype=object)  # from length 0: the empty pattern, the full set
+            col = np.empty(n_max, dtype=object)
+            for s in range(gap):
+                k = len(col[s::gap])
+                col[s::gap] = of[1:k + 1] ** (s + 1) * of[:k] ** (gap - s - 1)
+            cols.append(col.tolist())
+        counts, lives = cols
+    text = {live: f"subsets={live}" for live in set(lives)}
+    return OutTable(ca.state_count, "transfer1d", counts, list(map(text.__getitem__, lives)))
 
 
-def _too_many_subsets(live: int, n: int, cap: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"subset construction reached {live} live subsets at n={n}, cap is {cap}", cost=live
-    )
-
-
-def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int):
-    """(Out(n), live subsets) for n = 1..n_max, as `out_size_transfer_1d`
-    counts them; raises its refusal at the first n past max_subsets."""
+def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int, gap: int = 1):
+    """The columns Out(n) and live subsets for n = 1..n_max, as
+    `out_size_transfer_1d` counts them; raises its refusal at the first n
+    past max_subsets, naming gap * (n - 1) + 1 in place of n."""
     q = dfa.q
     succ = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
     live = np.zeros(1, dtype=np.int64)
     counts = np.ones(1, dtype=np.int64)
-    out = 1
+    out, outs, lives = 1, [], []
     exact_from = next(n for n in range(64) if q**n >= 1 << 62)
     stable = False
     for n in range(1, n_max + 1):
@@ -673,7 +732,8 @@ def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int):
             nxt = dest[starts]
             size = len(nxt)
             if size > max_subsets:
-                raise _too_many_subsets(size, n, max_subsets)
+                msg = f"subset construction reached {size} live subsets at n={gap * (n - 1) + 1}"
+                raise BudgetExceeded(f"{msg}, cap is {max_subsets}", cost=size)
             # the dead pairs' subsets sum into one more entry, after the live ones
             dead = np.nonzero(step < 0)[0]
             gather = np.concatenate([src[order], dead])
@@ -686,40 +746,18 @@ def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int):
         if len(dead) or not stable:  # else the counts are never read again
             counts = np.add.reduceat(counts[gather], starts)
         out = q * out - (int(counts[-1]) if len(dead) else 0)
-        yield out, size
-
-
-def _interleaved_counts(dfa: _SubsetDFA, gap: int, n_max: int, max_subsets: int):
-    """(Out(n), live subsets) for n = 1..n_max of a rule whose offsets lie
-    in one coset of gap * Z, from the counts of its reduced rule's `dfa`.
-
-    Length n = gap * k + s + 1 (0 <= s < gap) holds s + 1 copies of length
-    k + 1 and gap - s - 1 of length k.  When the reduced count refuses
-    at length k, its cost is live'(k), and the product passes the cap at
-    some n <= gap * (k - 1) + 1 <= n_max, every factor of which is known.
-    """
-    reduced = [(1, 1)]  # length 0: one (empty) pattern, the full set
-    try:
-        for row in _path_counts(dfa, -(-n_max // gap), max_subsets):
-            reduced.append(row)
-    except BudgetExceeded as exc:
-        reduced.append((None, exc.cost))  # past the cap: only its live count is known
-    for n in range(1, n_max + 1):
-        k, s = divmod(n - 1, gap)
-        (out0, live0), (out1, live1) = reduced[k], reduced[k + 1]
-        live = live1 ** (s + 1) * live0 ** (gap - s - 1)
-        if live > max_subsets:
-            raise _too_many_subsets(live, n, max_subsets)
-        yield out1 ** (s + 1) * out0 ** (gap - s - 1), live
+        outs.append(out)
+        lives.append(size)
+    return outs, lives
 
 
 def out_sizes(
     ca: CellularAutomaton, sides_list, budget: int = DEFAULT_BUDGET
-) -> list[OutRecord | BudgetExceeded]:
+) -> OutTable:
     """Exact output sizes of boxes at the origin, each by the route that fits.
 
-    Returns one OutRecord, or the BudgetExceeded refusal, per box in
-    order.  In dimension 1 every length is read off one
+    Returns one `OutTable` row per box in order, its count or the
+    BudgetExceeded refusal.  In dimension 1 every length is read off one
     `out_size_transfer_1d` call up to the longest box; in dimension >= 2,
     or when the transfer refuses, `out_sizes_bruteforce` counts the boxes
     under the budget.
@@ -727,11 +765,11 @@ def out_sizes(
     boxes = [as_index(s, ca.dimension) for s in sides_list]
     if ca.dimension == 1 and boxes:
         try:
-            records = out_size_transfer_1d(ca, max(b[0] for b in boxes))
+            table = out_size_transfer_1d(ca, max(boxes)[0])
         except BudgetExceeded:
             pass
         else:
-            return [records[b[0] - 1] for b in boxes]
+            return table.take([b[0] - 1 for b in boxes], boxes)
     return out_sizes_bruteforce(ca, boxes, budget)
 
 

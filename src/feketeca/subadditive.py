@@ -140,7 +140,7 @@ def _index_table(values: Mapping, convert: Callable) -> dict:
     table = {}
     dim = None
     for key, val in values.items():
-        idx = as_index(key)
+        idx = key if isinstance(key, MultiIndex) else as_index(key)
         if dim is None:
             dim = idx.dim
         elif idx.dim != dim:
@@ -383,12 +383,14 @@ class FeketeEstimate:
     The directed-set limit of the ratio equals the infimum over *all*
     boxes, so every entry of `ratios`, the one at a chosen base box as
     much as `running_inf` (the least of them), is a certified upper
-    bound for the limit.  No finite evaluation set certifies a lower
-    bound -- the data always extends to a subadditive function whose
-    limit is 0 -- so the lower end of `bracket` is `tail_slope`,
+    bound for the limit.  For a generic subadditive f no finite
+    evaluation set certifies a lower bound -- the data always extends to
+    one whose limit is 0 -- so the lower end of `bracket` is `tail_slope`,
     the gain of f per unit of added volume between the two largest nested
-    boxes: an empirical estimate that converges to the limit whenever the
-    per-box deviation f(x) - L*volume(x) flattens out.
+    boxes: an empirical estimate, which can miss the limit, that converges
+    to it whenever the per-box deviation f(x) - L*volume(x) flattens out.
+    Automaton counts are not generic: disjoint blocks certify lower bounds
+    (ROADMAP direction 1), which this engine does not compute.
     """
 
     evaluated_boxes: tuple[MultiIndex, ...]
@@ -416,33 +418,31 @@ def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     boxes = list(dict.fromkeys(as_index(b, f.dim) for b in schedule))
     if not boxes:
         raise ValueError("schedule must be nonempty")
-
     values = [float(f.fn(b)) for b in boxes]
-    volumes = list(map(math.prod, boxes))
-    ratios = tuple(map(operator.truediv, values, volumes))
-    running_inf = min(ratios)
+    return _infimum(boxes, values, list(map(math.prod, boxes)))
 
-    k = max(range(len(boxes)), key=boxes.__getitem__)
-    last = boxes[k]  # the product-order maximum, when there is one
-    last_ratio = ratios[k]
 
-    below = [
-        (volume, b, i)
-        for i, (b, volume) in enumerate(zip(boxes, volumes))
-        if i != k and all(map(operator.le, b, last))
-    ]
+def _infimum(boxes: list[MultiIndex], values: list[float], volumes: list[int]) -> FeketeEstimate:
+    """`running_infimum` of distinct boxes from the columns of f's values
+    on them and of their volumes.  The tail slope is taken against the box
+    of largest volume (then the lexicographically last) among those below
+    the last box; being distinct from it, that box has a smaller volume."""
+    ratios = list(map(operator.truediv, values, volumes))
+    k = boxes.index(max(boxes))  # the product-order maximum, when there is one
+    last = boxes[k]
+    if len(last) > 1:
+        below = [i for i, b in enumerate(boxes) if i != k and all(map(operator.le, b, last))]
+    else:  # every box, and the next longest is the one
+        below = [volumes.index(max(v for v in volumes if v < last[0]))] if len(boxes) > 1 else []
+    tail_slope = ratios[k]
     if below:
-        volume, _, i = max(below)
-        gap = volumes[k] - volume
-        tail_slope = (values[k] - values[i]) / gap if gap > 0 else last_ratio
-    else:
-        tail_slope = last_ratio
-
+        volume, _, i = max((volumes[i], boxes[i], i) for i in below)
+        tail_slope = (values[k] - values[i]) / (volumes[k] - volume)
     return FeketeEstimate(
         evaluated_boxes=tuple(boxes),
-        ratios=ratios,
-        running_inf=running_inf,
-        last_ratio=last_ratio,
+        ratios=tuple(ratios),
+        running_inf=min(ratios),
+        last_ratio=ratios[k],
         tail_slope=tail_slope,
     )
 

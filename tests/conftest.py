@@ -1,12 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from feketeca import (
     BudgetExceeded,
     CellularAutomaton,
-    OutRecord,
     analysis,
     counting,
     decode_states,
@@ -88,17 +86,17 @@ def refused_transfer(monkeypatch):
 @pytest.fixture
 def overcount(monkeypatch):
     """Sides -> count: `lambda_estimate` receives these counts in place of
-    the true ones, as from a counting bug."""
+    the true ones, as from a counting bug, planted in the count column of
+    the table it reads."""
     planted = {}
     real = analysis.out_sizes
 
     def planting(ca, boxes, *args, **kwargs):
-        return [
-            replace(rec, out_size=planted[rec.sides])
-            if isinstance(rec, OutRecord) and rec.sides in planted
-            else rec
-            for rec in real(ca, boxes, *args, **kwargs)
-        ]
+        table = real(ca, boxes, *args, **kwargs)
+        for i, sides in enumerate(table.sides):
+            if sides in planted and i not in table.refused:
+                table.counts[i] = planted[sides]
+        return table
 
     monkeypatch.setattr(analysis, "out_sizes", planting)
     return planted

@@ -257,3 +257,90 @@ def lexsort_sampled_check(fn, box, seed=0, samples=10_000):
         for i, a, b, lo, hi in zip(*(part[bad].tolist() for part in (xi, axis, y, lhs, rhs)))
     ]
     return violations
+
+
+# ------------------------------------------------ rows one record at a time
+#
+# The CSV rows of `out-table` and `lambda` as the package wrote them before
+# its counts came as columns: one log_q, one q**volume and one formatted
+# line per record.  A record is plain data, (sides, out_size) or
+# (sides, None) for a box refused at `cost`.
+
+
+def log_base(n, q):
+    """log_q of a positive int, exact when n is a power of q."""
+    import math
+
+    x = math.log(n) / math.log(q)
+    k = round(x)
+    if abs(x - k) <= 1e-9 * max(1, k) and q**k == n:
+        return float(k)
+    return x
+
+
+def out_table_csv(dim, q, records, budget):
+    """out-table's CSV for records (sides, out_size, cost), out_size None
+    (and cost the budget cost) on a refused box."""
+    lines = [",".join([f"x{i + 1}" for i in range(dim)]
+                      + ["out_size", "full_size", "ratio", "lambda_qits", "status"])]
+    for sides, out, cost in records:
+        head = ",".join(map(str, sides))
+        if out is None:
+            lines.append(f"{head},,,,,refused: cost {cost} exceeds budget {budget}")
+            continue
+        volume = 1
+        for s in sides:
+            volume *= s
+        log = log_base(out, q)
+        lines.append(f"{head},{out},{q**volume},{log / volume:.12g},{volume - log:.12g},ok")
+    return "\n".join(lines) + "\n"
+
+
+def lambda_1d_stdout(name, q, counts):
+    """`lambda`'s whole stdout for a 1D rule on the schedule diag:1..n, from
+    its counts Out(1..n), when they show no subadditivity violation."""
+    ratios = [log_base(out, q) / n for n, out in enumerate(counts, 1)]
+    n = len(counts)
+    inf = min(ratios)
+    tail = log_base(counts[-1], q) - log_base(counts[-2], q) if n > 1 else ratios[-1]
+    lo, hi = (min(max(v, 0.0), 1.0) for v in (min(tail, inf), inf))
+    lines = [
+        f"automaton: {name} (d=1, q={q})",
+        f"lambda bracket: [{lo:.6f}, {hi:.6f}]",
+        f"certified upper bound (running infimum): {inf:.12g}",
+        f"boxes evaluated: {n}",
+        "x1,out_size,ratio",
+    ]
+    lines += [f"{n},{out},{ratio:.12g}" for n, (out, ratio) in enumerate(zip(counts, ratios), 1)]
+    return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------ the slice-OR restriction
+#
+# A box bitmap restricted to a sub-box as the package ran it before it
+# read trailing groups as machine words: each dropped group of cells is
+# an `any` over the middle axis of a three-axis reshape, as OR-ed slices
+# up to 16 of them.
+
+
+def slice_or_restrict(seen, sides, sub, q):
+    """The bitmap of box `sub` (same origin, sub <= sides) read off the
+    flat bool bitmap of box `sides`, in row-major code order."""
+    import math
+
+    cur = list(sides)
+    for k, keep in enumerate(sub):
+        inner = math.prod(cur[k + 1:])
+        group = (cur[k] - keep) * inner
+        if group:
+            for line in reversed(range(math.prod(cur[:k]))):
+                before = (line * cur[k] + keep) * inner
+                x = seen.reshape(q**before, q**group, -1)
+                if x.shape[1] > 16:
+                    seen = x.any(axis=1)
+                else:
+                    seen = x[:, 0].copy()
+                    for g in range(1, x.shape[1]):
+                        seen |= x[:, g]
+            cur[k] = keep
+    return seen.ravel()

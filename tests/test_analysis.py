@@ -502,8 +502,9 @@ def test_scan_computes_each_e_plus_n_once(name, budget, and2d, monkeypatch):
 
 
 def test_scan_raises_a_code_width_refusal(and2d, monkeypatch):
-    """A refusal that costs no more than the remaining budget is the 63-bit
-    code width, not the budget: the scan raises it instead of a verdict."""
+    """A refusal that costs no more than the remaining budget is not the
+    budget's (once the 63-bit code width, now the bitmap's byte cap): the
+    scan raises it instead of a verdict."""
 
     def too_wide(ca, sides, budget, origin=None):
         raise BudgetExceeded("output codes exceed the 63-bit code width", cost=budget)

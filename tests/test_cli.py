@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import feketeca
-from feketeca import cli, counting, lambda_estimate, make_builtin, out_size_transfer_1d
+from feketeca import (
+    analysis,
+    cli,
+    counting,
+    lambda_estimate,
+    make_builtin,
+    out_size_transfer_1d,
+    subadditive,
+)
 from feketeca.cli import (
     EXIT_NONSURJECTIVE,
     EXIT_OK,
@@ -240,6 +248,18 @@ class TestOutTable:
         assert cli.main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: subset construction refused\n")
 
+    def test_a_bitmap_past_the_byte_cap_is_a_refusal_row(self, describe, capsys):
+        # the budget admits 2^48 inputs, the host no 2^36-byte bitmap
+        path = describe("and2d", {"rule": {"builtin": "and2d"}})
+        argv = ["out-table", path, "--sides-list", "6x6,2x2", "--budget", str(1 << 50)]
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr() == (
+            "x1,x2,out_size,full_size,ratio,lambda_qits,status\n"
+            f"6,6,,,,,refused: output bitmap of 2^36 bytes exceeds the {1 << 30}-byte cap\n"
+            "2,2,16,16,1,0,ok\n",
+            "",
+        )
+
     def test_unpriceable_subset_table(self, describe, capsys):
         # span 20: 2^39 bits of target masks, over the subset DFA's cap
         path = describe(
@@ -347,6 +367,21 @@ class TestDecide:
 
 
 class TestLambda:
+    def test_each_box_is_coerced_at_most_once(self, describe, capsys, monkeypatch):
+        calls = []
+        real = subadditive.as_index
+
+        def counted(value, dim=None):
+            calls.append(tuple(value))
+            return real(value, dim)
+
+        for module in (subadditive, feketeca.ca, counting, analysis):
+            monkeypatch.setattr(module, "as_index", counted)
+        path = describe("and", {"rule": {"builtin": "and1d"}})
+        assert cli.main(["lambda", path, "--schedule", "diag:1..2000"]) == EXIT_OK
+        assert "boxes evaluated: 2000" in capsys.readouterr().out
+        assert len(calls) == len(set(calls)) <= 2000
+
     def test_shift_bracket_line(self, describe, capsys):
         path = describe("shift", {"rule": {"builtin": "shift"}})
         assert cli.main(["lambda", path, "--schedule", "diag:1..50"]) == EXIT_OK

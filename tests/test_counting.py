@@ -156,8 +156,8 @@ class TestBatch:
             assert np.array_equal(got, want)
             counts[sub] = int(np.count_nonzero(got))
         assert counts[(1, 3, 2)] == oracles.AND2D_OUT[(3, 2)]
-        # numpy before 2.0 caps arrays at 32 axes; a box of 62 cells fits
-        # the code width, so no step may give each cell its own axis
+        # numpy before 2.0 caps arrays at 32 axes; a box of 30 cells fits
+        # the bitmap's byte cap, so no step may give each cell its own axis
         assert ranks and set(ranks) == {3}
 
 
@@ -394,3 +394,22 @@ class TestCrossMethod:
                 assert (
                     recs[n - 1].out_size == out_sizes_bruteforce(ca, [n])[0].out_size
                 ), ca.name
+
+
+class TestBitmapBytes:
+    def test_a_bitmap_past_the_byte_cap_is_refused_before_it_is_built(self, and2d):
+        # 2^48 inputs fit a 2^50 budget, but the 6x6 bitmap would take 2^36 bytes
+        small, refused = out_sizes_bruteforce(and2d, [(2, 2), (6, 6)], budget=1 << 50)
+        assert isinstance(refused, BudgetExceeded) and refused.cost == 2**36
+        assert str(refused) == f"output bitmap of 2^36 bytes exceeds the {1 << 30}-byte cap"
+        assert small.out_size == 16
+
+    @pytest.mark.parametrize("gather_words", [counting._GATHER_WORDS, 1])
+    def test_a_join_in_blocks_is_the_whole_enumeration(self, and2d, monkeypatch, gather_words):
+        # 2^19 inputs: 3x4 is enumerated as two halves and joined, at one
+        # E1 output per block under the smallest gather
+        E, cells, shifted = counting._enumeration_cells(and2d, MultiIndex((3, 4)), 1 << 30)
+        whole, _ = counting._enumerate(and2d, cells, (), shifted)
+        monkeypatch.setattr(counting, "_GATHER_WORDS", gather_words)
+        joined, detail = counting._image_bitmap(and2d, E, cells, shifted)
+        assert detail == "cells=19,chunks=2" and np.array_equal(joined, whole)

@@ -5,7 +5,10 @@ and state counts up to 255 (for single-offset 1D rules), keeping q^span
 small so every route stays cheap.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from feketeca import (
     CellularAutomaton,
+    cli,
     RightPolytope,
     counting,
     decide_surjectivity_1d,
@@ -343,18 +347,41 @@ def _transfer_or_refusal(ca, n_max, cap):
         return None, (str(exc), exc.cost)
 
 
+def _bit_loop_transfer(q, offsets, table, n_max, cap):
+    """(rows, refusal) that `out_size_transfer_1d` must give, by the bit
+    loop.  A rule whose offsets' differences have gcd g >= 2 is capped on
+    its reduced DFA, offsets (o - min)/g: a refusal there at reduced
+    length k is raised at n = g(k - 1) + 1 with the same cost.  Otherwise
+    its rows are the undecomposed DFA's, which the bit loop counts up to
+    its own cap of max(cap, 4096) live subsets, so they may be a prefix."""
+    gap = math.gcd(*(o - min(offsets) for o in offsets))
+    if gap < 2:
+        return oracles.bit_loop_counts(q, offsets, table, n_max, cap)
+    reduced = [(o - min(offsets)) // gap for o in offsets]
+    done, refused = oracles.bit_loop_counts(q, reduced, table, -(-n_max // gap), cap)
+    if refused is not None:
+        n, cost = gap * len(done) + 1, refused[1]
+        return [], (f"subset construction reached {cost} live subsets at n={n}, cap is {cap}", cost)
+    return oracles.bit_loop_counts(q, offsets, table, n_max, max(cap, 4096))[0], None
+
+
+def _assert_transfer_is_the_bit_loop(ca, offsets, table, cap):
+    q = ca.state_count
+    n_max = _LENGTHS[q]
+    rows, refused = _bit_loop_transfer(q, offsets, table, n_max, cap)
+    got, got_refused = _transfer_or_refusal(ca, n_max, cap)
+    assert got_refused == refused
+    if refused is None:
+        assert len(got) == n_max and all(type(out) is int for out, _ in got)
+        assert got[:len(rows)] == [(out, f"subsets={live}") for out, live in rows]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rule=rule_1d_wide(), cap=st.sampled_from([4096, 1, 2, 5, 20, 60]))
 def test_transfer_counts_match_the_bit_loop(rule, cap):
     q, offsets, table = rule
     ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
-    n_max = _LENGTHS[q]
-    rows, refused = oracles.bit_loop_counts(q, offsets, table, n_max, cap)
-    got, got_refused = _transfer_or_refusal(ca, n_max, cap)
-    assert got_refused == refused
-    if refused is None:
-        assert got == [(out, f"subsets={live}") for out, live in rows]
-        assert all(type(out) is int for out, _ in got)
+    _assert_transfer_is_the_bit_loop(ca, offsets, table, cap)
 
 
 @st.composite
@@ -377,36 +404,51 @@ def gapped_rule_1d(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(rule=gapped_rule_1d(), cap=st.sampled_from([4096, 1, 2, 5, 20, 60]))
 def test_gapped_counts_match_the_undecomposed_bit_loop(rule, cap):
-    """A gapped rule is counted through its reduced rule; its counts,
-    details and refusals are those of the undecomposed DFA, and its counts
-    those of brute force."""
+    """A gapped rule is counted and capped through its reduced rule; its
+    counts and details are those of the undecomposed DFA, its refusals
+    those of the reduced one, and its counts those of brute force."""
     q, offsets, table = rule
     ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
-    n_max = _LENGTHS[q]
-    rows, refused = oracles.bit_loop_counts(q, offsets, table, n_max, cap)
-    got, got_refused = _transfer_or_refusal(ca, n_max, cap)
-    assert got_refused == refused
-    if refused is None:
-        assert got == [(out, f"subsets={live}") for out, live in rows]
-        assert all(type(out) is int for out, _ in got)
+    _assert_transfer_is_the_bit_loop(ca, offsets, table, cap)
     transfer = out_size_transfer_1d(ca, 8)
     for rec, brute in zip(transfer, out_sizes_bruteforce(ca, range(1, 9), budget=_ENUM_CAP)):
         if not isinstance(brute, counting.BudgetExceeded):
             assert rec.out_size == brute.out_size
 
 
-def test_a_gapped_refusal_is_priced_on_the_product():
+def test_a_gapped_refusal_is_priced_on_the_reduced_rule():
     """q = 3, offsets (0, 2): the reduced rule (offsets (0, 1)) first has
-    3 > 2 live subsets at length 2, but the undecomposed DFA already has
-    2 * 2 at n = 2, and that is the refusal."""
+    3 > 2 live subsets at length 2, so the rule refuses at n = 3, the first
+    length with a copy of length 2, at cost 3.  The undecomposed DFA
+    already has 2 * 2 at n = 2, and the subsets= details stay its counts."""
     q, offsets, table, cap = 3, [0, 2], [0, 0, 0, 0, 0, 0, 0, 0, 1], 2
     ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
-    rows, refused = oracles.bit_loop_counts(q, offsets, table, 10, cap)
-    assert refused == ("subset construction reached 4 live subsets at n=2, cap is 2", 4)
-    assert _transfer_or_refusal(ca, 10, cap) == (None, refused)
+    rows, undecomposed = oracles.bit_loop_counts(q, offsets, table, 10, cap)
+    assert undecomposed == ("subset construction reached 4 live subsets at n=2, cap is 2", 4)
+    refusal = ("subset construction reached 3 live subsets at n=3, cap is 2", 3)
+    assert _transfer_or_refusal(ca, 10, cap) == (None, refusal)
     with pytest.raises(counting.BudgetExceeded) as reduced:
         out_size_transfer_1d(CellularAutomaton(1, q, ((0,), (1,)), table), 10, cap)
-    assert reduced.value.cost == 3
+    assert (str(reduced.value), reduced.value.cost) == (refusal[0].replace("n=3", "n=2"), 3)
+    details = [r.detail for r in out_size_transfer_1d(ca, 3, 3)]
+    assert details == ["subsets=2", "subsets=4", "subsets=6"]
+
+
+def test_a_cheap_gapped_rule_counts_past_the_product_cap():
+    """Offsets (0, 5, 10, 15) reduce to (0, 1, 2, 3), whose DFA has at most
+    42 live subsets, while the product passes the 65,536 cap at n = 19:
+    n = 40, five copies of length 8, counts by transfer, also through
+    `out_sizes`, and its detail is the product."""
+    table = (1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
+    ca = CellularAutomaton(1, 2, ((0,), (5,), (10,), (15,)), table)
+    reduced = CellularAutomaton(1, 2, ((0,), (1,), (2,), (3,)), table)
+    (brute,) = out_sizes_bruteforce(reduced, [8])
+    counts = out_size_transfer_1d(ca, 40)
+    (rec,) = out_sizes(ca, [40])
+    assert rec.method == "transfer1d" and rec.out_size == counts[-1].out_size == brute.out_size**5
+    live = [int(r.detail.split("=")[1]) for r in out_size_transfer_1d(reduced, 8)]
+    assert max(live) <= 42 and counts[18].detail == f"subsets={live[3] ** 4 * live[2]}"
+    assert live[3] ** 4 * live[2] > 1 << 16
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -439,3 +481,65 @@ def test_wide_rules_step_by_numpy_and_by_the_walk(monkeypatch):
         with pytest.raises(counting.BudgetExceeded) as info:
             decide_surjectivity_1d(ca, max_subsets=20000)
         assert ("refused", str(info.value), info.value.cost) == want
+
+
+# The CLI's CSVs, built from count columns, against rows formatted one
+# record at a time (tests/oracles.py), and the word-view restriction
+# against the slice OR it replaced.
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rule=rule_1d_wide() | gapped_rule_1d(), constant=st.integers(0, 4).map(lambda v: v == 0))
+def test_count_tables_print_the_rows_of_one_record_at_a_time(rule, constant, tmp_path_factory):
+    """Counts past 2^62 (`_LENGTHS`), exact powers of q (permutive rules,
+    q^n, and constant ones, 1 = q^0), brute force with a refused row."""
+    q, offsets, table = rule
+    if constant:
+        table = [table[0]] * len(table)
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    path = tmp_path_factory.mktemp("rule") / "rule.json"
+    doc = {"name": "r", "dimension": 1, "states": q, "neighborhood": offsets}
+    path.write_text(json.dumps({**doc, "rule": {"table": table}}))
+    n = _LENGTHS[q]
+    counts = [r.out_size for r in out_size_transfer_1d(ca, n)]
+    want = oracles.out_table_csv(1, q, [((i,), c, None) for i, c in enumerate(counts, 1)], None)
+    assert _run(["out-table", str(path), "--method", "transfer", "--max-sides", str(n)]) == (0, want)
+    want = oracles.lambda_1d_stdout("r", q, counts)
+    assert _run(["lambda", str(path), "--schedule", f"diag:1..{n}"]) == (0, want)
+    lengths = [4, 2, 3, 30]  # 30 is refused, q^(30 + span - 1) inputs, and so may be the rest
+    rows = out_sizes_bruteforce(ca, lengths, budget=_ENUM_CAP)
+    records = [
+        ((m,), None, r.cost) if isinstance(r, counting.BudgetExceeded) else ((m,), r.out_size, None)
+        for m, r in zip(lengths, rows)
+    ]
+    assert all(out in (None, counts[m - 1]) for (m,), out, _ in records) and records[3][1] is None
+    argv = ["out-table", str(path), "--method", "brute", "--sides-list", "4,2,3,30"]
+    argv += ["--budget", str(_ENUM_CAP)]
+    assert _run(argv) == (0, oracles.out_table_csv(1, q, records, _ENUM_CAP))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_view_restriction_is_the_slice_or(data):
+    """Groups of 2, 4 and 8k bytes read as words (q = 2, 4, 8), of 3^k by
+    slices (q = 3), in 1D and 2D, on sparse and dense bitmaps."""
+    q = data.draw(st.sampled_from([2, 3, 4, 8]))
+    dim = data.draw(st.integers(1, 2))
+    cells = next(v for v in itertools.count() if q ** (v + 1) > 1 << 14)  # most cells
+    if dim == 1:
+        sides = (data.draw(st.integers(1, cells)),)
+    else:
+        a = data.draw(st.integers(1, cells))
+        sides = (a, data.draw(st.integers(1, max(1, cells // a))))
+    sub = tuple(data.draw(st.integers(1, s)) for s in sides)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    seen = rng.random(q ** math.prod(sides)) < data.draw(st.sampled_from([0.001, 0.05, 0.5]))
+    got = counting._restrict(seen, counting.MultiIndex(sides), counting.MultiIndex(sub), q)
+    assert got.dtype == bool and np.array_equal(got, oracles.slice_or_restrict(seen, sides, sub, q))
