@@ -35,6 +35,15 @@ print("xor1d certificate:", decide_surjectivity_1d(make_builtin("xor1d")))
 cert = decide_surjectivity_1d(make_builtin("and1d"))
 print("and1d orphan word:", cert.pattern.cells, " code:", cert.pattern.code(2))
 
+# offsets (0, 19) are 19 interleaved copies of the span-2 rule on (0, 1):
+# the decision runs on that reduced rule, and AND's orphan 101 comes back
+# spread 19 cells apart, 39 cells long, while XOR stays surjective
+and19 = CellularAutomaton(1, 2, ((0,), (19,)), (0, 0, 0, 1), name="and19")
+cert = decide_surjectivity_1d(and19)
+print("and19 orphan on", len(cert.pattern.cells), "cells, code:", cert.pattern.code(2))
+xor19 = CellularAutomaton(1, 2, ((0,), (19,)), (0, 1, 1, 0), name="xor19")
+print("xor19 ->", surjectivity_report(xor19).status.value)
+
 ####
 # 3. a 2D rule with no orphan in reach: the scan clears sizes until the
 #    budget wall and honestly reports UNKNOWN (never "surjective")

@@ -36,7 +36,6 @@ from .counting import (
     OutTable,
     decide_surjectivity_1d,
     find_orphan,
-    log_base,
     out_size_transfer_1d,
     out_sizes,
     out_sizes_bruteforce,
@@ -64,7 +63,7 @@ __all__ = [
     "induced_map", "make_builtin", "BUILTIN_NAMES",
     "DEFAULT_BUDGET", "BudgetExceeded", "OutRecord", "OutTable", "OrphanCertificate",
     "out_sizes_bruteforce", "out_size_transfer_1d", "out_sizes", "find_orphan",
-    "decide_surjectivity_1d", "log_base",
+    "decide_surjectivity_1d",
     "LambdaEstimate", "ThresholdReport", "VerdictStatus",
     "SurjectivityVerdict", "lambda_estimate",
     "boundary_excess", "theorem2_threshold", "surjectivity_report",

@@ -35,6 +35,7 @@ from .subadditive import (
     SubadditiveFn,
     check_subadditivity,
     check_subadditivity_on_table,
+    diagonal_schedule,
     running_infimum,
     subadditivity_triple_count,
     _grid,
@@ -83,7 +84,7 @@ def parse_schedule(text: str, dim: int) -> list[MultiIndex]:
             raise DescriptionError(f"bad schedule {text!r}: bounds must be integers") from None
         if not 1 <= lo <= hi:
             raise DescriptionError(f"bad schedule {text!r}: need 1 <= LO <= HI")
-        return [MultiIndex._trusted((k,) * dim) for k in range(lo, hi + 1)]
+        return diagonal_schedule(dim, hi, lo)
     schedule = [parse_sides(tok, dim) for tok in text.split(",") if tok.strip()]
     if not schedule:
         raise DescriptionError(f"bad schedule {text!r}: no sides given")
@@ -198,10 +199,13 @@ def load_description(path: str) -> tuple[CellularAutomaton, dict | None]:
     return ca, labels
 
 
-def _open_out(path: str | None):
+def _write(path: str | None, text: str) -> None:
+    """Write text to stdout for None or "-", else to the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.write(text)
 
 
 def _sides_for_table(args, ca: CellularAutomaton) -> list[MultiIndex] | None:
@@ -234,28 +238,23 @@ def cmd_out_table(args) -> int:
         lengths = [s[0] for s in sides_list]
         table = out_size_transfer_1d(ca, max(lengths)).take([n - 1 for n in lengths], sides_list)
 
-    out, close = _open_out(args.out)
-    try:
-        if labels:
-            print("# states: " + " ".join(f"{lab}={i}" for lab, i in labels.items()), file=out)
-        header = [f"x{i+1}" for i in range(ca.dimension)]
-        header += ["out_size", "full_size", "ratio", "lambda_qits", "status"]
-        vol, log = table.volumes, table.log_out
-        fmt = "%d," * ca.dimension + "%d,%d,%.12g,%.12g,ok"
-        # a refused row is written with count 1, then replaced
-        columns = [*_axes(table, ca.dimension), table.filled(table.counts, 1)]
-        full = _powers(ca.state_count, vol.tolist())
-        columns += [full, (log / vol).tolist(), (vol - log).tolist()]
-        lines = [",".join(header), *_csv_rows(fmt, columns)]
-        for i in table.refused:
-            refusal, head = table.counts[i], ",".join(map(str, table.sides[i]))
-            if refusal.cost > args.budget:
-                refusal = f"cost {_decimal(refusal.cost)} exceeds budget {args.budget}"
-            lines[i + 1] = f"{head},,,,,refused: {refusal}"
-        out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
+    header = [f"x{i+1}" for i in range(ca.dimension)]
+    header += ["out_size", "full_size", "ratio", "lambda_qits", "status"]
+    vol, log = table.volumes, table.log_out
+    fmt = "%d," * ca.dimension + "%d,%d,%.12g,%.12g,ok"
+    # a refused row is written with count 1, then replaced
+    columns = [*_axes(table, ca.dimension), table.filled(table.counts, 1)]
+    full = _powers(ca.state_count, vol.tolist())
+    columns += [full, (log / vol).tolist(), (vol - log).tolist()]
+    lines = [",".join(header), *_csv_rows(fmt, columns)]
+    for i in table.refused:
+        refusal, head = table.counts[i], ",".join(map(str, table.sides[i]))
+        if refusal.cost > args.budget:
+            refusal = f"cost {_decimal(refusal.cost)} exceeds budget {args.budget}"
+        lines[i + 1] = f"{head},,,,,refused: {refusal}"
+    if labels:
+        lines.insert(0, "# states: " + " ".join(f"{lab}={i}" for lab, i in labels.items()))
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -338,15 +337,10 @@ def cmd_lambda(args) -> int:
         print(f"WARNING: {len(est.subadditivity_violations)} log-subadditivity violations")
     for note in est.notes:
         print(f"partial: {note}")
-    out, close = _open_out(args.out)
-    try:
-        header = ",".join([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])
-        columns = [*_axes(est.records, ca.dimension), est.records.counts, est.estimate.ratios]
-        rows = _csv_rows("%d," * ca.dimension + "%d,%.12g", columns)
-        out.write("\n".join([header, *rows]) + "\n")
-    finally:
-        if close:
-            out.close()
+    header = ",".join([f"x{i+1}" for i in range(ca.dimension)] + ["out_size", "ratio"])
+    columns = [*_axes(est.records, ca.dimension), est.records.counts, est.estimate.ratios]
+    rows = _csv_rows("%d," * ca.dimension + "%d,%.12g", columns)
+    _write(args.out, "\n".join([header, *rows]) + "\n")
     return EXIT_OK
 
 

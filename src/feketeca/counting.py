@@ -43,10 +43,11 @@ can produce on a box):
   target table, q^(2m-1) bits for span m, is priced first and refused
   past `_TABLE_BITS`.  A rule whose offsets all lie in one coset
   a + gZ, g >= 2, is g independent interleaved copies of its reduced
-  rule, with offsets (o - a)/g, so the count builds, prices, steps and
-  caps only the reduced rule's DFA: Out(n) is the product over r < g of
-  Out'(ceil((n - r)/g)), the live subsets multiply alike, and the loss
-  is the sum of the copies' losses.  The decision is not decomposed.
+  rule, with offsets (o - a)/g, so `_SubsetDFA` builds, prices, steps
+  and caps only the reduced rule's DFA: Out(n) is the product over r < g
+  of Out'(ceil((n - r)/g)), the live subsets multiply alike, the loss is
+  the sum of the copies', and the least shortest orphan is the reduced
+  rule's, spread g cells apart.
 
 `out_sizes` is the one place that picks the route: the DFA in dimension
 1, brute force in higher dimensions or when the DFA refuses.  The two
@@ -78,7 +79,6 @@ __all__ = [
     "OutRecord",
     "OutTable",
     "OrphanCertificate",
-    "log_base",
     "out_sizes_bruteforce",
     "out_size_transfer_1d",
     "out_sizes",
@@ -143,13 +143,6 @@ class BudgetExceeded(Exception):
         self.cost = cost
 
 
-def log_base(n: int, q: int) -> float:
-    """log_q of a positive integer, exact when n is a power of q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _log_column([n], q)[0].item()
-
-
 def _log_column(counts: list[int], q: int) -> np.ndarray:
     """log_q of each positive int, as one float64 array: the quotient of
     natural logs, or k exactly where that lies within 1e-9 * max(1, k) of
@@ -186,7 +179,8 @@ class OutRecord:
 
     @property
     def log_out(self) -> float:
-        return log_base(self.out_size, self.q)
+        """log_q(out_size), exact when it is a power of q."""
+        return _log_column([self.out_size], self.q)[0].item()
 
     @property
     def ratio(self) -> float:
@@ -242,9 +236,7 @@ class OutTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(self.__getitem__, range(len(self))[i]))
+    def __getitem__(self, i: int):
         count = self.counts[i]
         if isinstance(count, BudgetExceeded):
             return count
@@ -536,20 +528,22 @@ class _SubsetDFA:
     target table holds, per vertex, the q rows of vertices it steps to
     under each label: q^(2m-1) bits (each row padded to whole words),
     priced first and refused past `_TABLE_BITS` before anything is
-    allocated.  With `gap` g, a common divisor of the offsets'
-    differences, the DFA is the reduced rule's: offsets (o - min)/g,
-    the same table and neighbourhood order, and its own span m and
-    price.  Id 0 is the full set and -1 the empty one; `step` gives
-    every other subset the next id when it first reaches it and records
-    in `parent` the step that did, as id * q + label (-1 for the full
-    set).  Subsets are stepped in id order with labels ascending, so ids
-    are breadth-first order.
+    allocated.  With `gap` g the gcd of the offsets' differences (1 for
+    one offset), the rule is g interleaved copies of its reduced rule,
+    offsets (o - min)/g with the same table and neighbourhood order, and
+    the DFA, span m and price are the reduced rule's: counts, orphan
+    words and refusals are all read off it.  Id 0 is the full set and -1
+    the empty one; `step` gives every other subset the next id when it
+    first reaches it and records in `parent` the step that did, as
+    id * q + label (-1 for the full set).  Subsets are stepped in id
+    order with labels ascending, so ids are breadth-first order.
     """
 
-    def __init__(self, ca: CellularAutomaton, gap: int = 1):
+    def __init__(self, ca: CellularAutomaton):
         offs = [o[0] for o in ca.neighborhood]
         mn = min(offs)
-        at = [(o - mn) // gap for o in offs]
+        self.gap = math.gcd(*(o - mn for o in offs)) or 1  # 0 for one offset
+        at = [(o - mn) // self.gap for o in offs]
         m = max(at) + 1
         q = ca.state_count
         if (bits := q ** (2 * m - 1)) > _TABLE_BITS:  # q^(m-1) vertices x q labels x q^(m-1) bits
@@ -674,25 +668,26 @@ def out_size_transfer_1d(
 
     A rule whose offsets all lie in one coset a + gZ (g >= 2, the gcd of
     their differences) is g interleaved copies of its reduced rule, with
-    offsets (o - a)/g, that read disjoint inputs.  Only the reduced rule
-    is counted, up to ceil(n_max / g); with its counts Out' and live'
+    offsets (o - a)/g, that read disjoint inputs; `_SubsetDFA` is the
+    reduced rule's (the decision spreads its orphan word g cells apart).
+    It is counted up to ceil(n_max / g); with its counts Out' and live'
     (both 1 at length 0), Out(n) = prod over r < g of Out'(ceil((n - r)/g)),
     the live subsets multiply alike, so each detail is the undecomposed
     DFA's, and the loss at n is the sum of the copies' losses.
 
     Refuses at the first n whose live subset count exceeds max_subsets,
     with that count as the cost, or when the vertex table of the DFA
-    built would pass `_TABLE_BITS`.  A gapped rule is capped on its
-    reduced DFA: past max_subsets at reduced length k, it refuses at
+    would pass `_TABLE_BITS`.  Both refusals are the reduced DFA's: past
+    max_subsets at reduced length k, a gapped rule refuses at
     n = g(k - 1) + 1, the first length with a copy of length k.
     """
     if ca.dimension != 1:
         raise ValueError("transfer counting requires dimension 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    offs = [o[0] for o in ca.neighborhood]
-    gap = math.gcd(*(o - min(offs) for o in offs)) or 1  # 0 for one offset
-    counts, lives = _path_counts(_SubsetDFA(ca, gap), -(-n_max // gap), max_subsets, gap)
+    dfa = _SubsetDFA(ca)
+    gap = dfa.gap
+    counts, lives = _path_counts(dfa, -(-n_max // gap), max_subsets)
     if gap > 1:  # n = gap * k + s + 1 holds s + 1 copies of length k + 1, gap - s - 1 of k
         cols = []
         for col in (counts, lives):
@@ -707,10 +702,10 @@ def out_size_transfer_1d(
     return OutTable(ca.state_count, "transfer1d", counts, list(map(text.__getitem__, lives)))
 
 
-def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int, gap: int = 1):
-    """The columns Out(n) and live subsets for n = 1..n_max, as
-    `out_size_transfer_1d` counts them; raises its refusal at the first n
-    past max_subsets, naming gap * (n - 1) + 1 in place of n."""
+def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int):
+    """The reduced DFA's columns Out'(n) and live subsets for n = 1..n_max,
+    as `out_size_transfer_1d` counts them; raises its refusal at the first
+    n past max_subsets, naming dfa.gap * (n - 1) + 1 in place of n."""
     q = dfa.q
     succ = np.empty((0, q), dtype=np.int64)  # successor ids per stepped subset
     live = np.zeros(1, dtype=np.int64)
@@ -732,8 +727,9 @@ def _path_counts(dfa: _SubsetDFA, n_max: int, max_subsets: int, gap: int = 1):
             nxt = dest[starts]
             size = len(nxt)
             if size > max_subsets:
-                msg = f"subset construction reached {size} live subsets at n={gap * (n - 1) + 1}"
-                raise BudgetExceeded(f"{msg}, cap is {max_subsets}", cost=size)
+                msg = f"subset construction reached {size} live subsets"
+                msg += f" at n={dfa.gap * (n - 1) + 1}, cap is {max_subsets}"
+                raise BudgetExceeded(msg, cost=size)
             # the dead pairs' subsets sum into one more entry, after the live ones
             dead = np.nonzero(step < 0)[0]
             gather = np.concatenate([src[order], dead])
@@ -784,33 +780,37 @@ def decide_surjectivity_1d(
     at a time: an orphan word exists iff the empty subset is reachable.
     Labels are tried in ascending order, so the word read back through
     `parent` from the first empty step is the lexicographically least
-    orphan word of minimal length.  Refuses at the first step that
-    takes the count of subsets reached past max_subsets, unless an empty
-    step comes before it, or when the DFA's vertex table would pass
-    `_TABLE_BITS`.
+    orphan word of minimal length.  The DFA is the reduced rule's (gap
+    g), and a pattern is an orphan iff one of its g interleaved subwords
+    is one of the reduced rule.  So the rule is surjective iff its
+    reduced rule is, and if the reduced rule's least shortest orphan is
+    w, of length L, the rule's is w at cells 0, g, ..., g(L - 1) with 0
+    between: only that subword has L cells at length g(L - 1) + 1.
+    Refuses, on the reduced DFA, at the step that numbers subset
+    max_subsets >= 1 (cost max_subsets + 1) unless an empty step comes
+    first, or when the DFA's vertex table would pass `_TABLE_BITS`.
     """
     if ca.dimension != 1:
         raise ValueError("the exact decision procedure requires dimension 1")
+    if max_subsets < 1:
+        raise ValueError("max_subsets must be >= 1")
     dfa = _SubsetDFA(ca)
     q = dfa.q
     while dfa.fresh:
-        first, count = dfa.stepped * q, len(dfa.parent)
+        first = dfa.stepped * q
+        # the ids end at the first empty step, and number no subset past it
         ids = dfa.step(min(len(dfa.fresh), _BFS_BLOCK), stop=True)
-        if len(dfa.parent) <= max_subsets and -1 not in ids:
-            continue
-        # replay the block's steps in order: the empty subset, or the cap
-        for p, j in enumerate(ids):
-            if j < 0:
-                i, label = divmod(first + p, q)
-                word = [label]
-                while dfa.parent[i] >= 0:
-                    i, back = divmod(dfa.parent[i], q)
-                    word.append(back)
-                sides = MultiIndex._trusted((len(word),))
-                return OrphanCertificate(sides, Pattern(RightPolytope(sides), word[::-1]))
-            count += j == count  # a new subset takes the next id, count
-            if count > max_subsets:
-                raise BudgetExceeded(
-                    f"subset search visited {count} subsets, cap is {max_subsets}", cost=count
-                )
+        if len(dfa.parent) > max_subsets:
+            msg = f"subset search visited {max_subsets + 1} subsets, cap is {max_subsets}"
+            raise BudgetExceeded(msg, cost=max_subsets + 1)
+        if ids[-1] < 0:
+            i, label = divmod(first + len(ids) - 1, q)
+            word = [label]
+            while dfa.parent[i] >= 0:
+                i, back = divmod(dfa.parent[i], q)
+                word.append(back)
+            cells = [0] * (dfa.gap * (len(word) - 1) + 1)
+            cells[::dfa.gap] = word[::-1]
+            sides = MultiIndex._trusted((len(cells),))
+            return OrphanCertificate(sides, Pattern(RightPolytope(sides), cells))
     return None

@@ -473,9 +473,9 @@ def decomposition_bound(f: SubadditiveFn, t, x) -> float:
 
 def diagonal_schedule(dim: int, k_max: int, k_min: int = 1) -> list[MultiIndex]:
     """Boxes (k, ..., k) for k = k_min .. k_max."""
-    if k_min < 1 or k_max < k_min:
-        raise ValueError("need 1 <= k_min <= k_max")
-    return [MultiIndex((k,) * dim) for k in range(k_min, k_max + 1)]
+    if k_min < 1 or k_max < k_min or dim < 1:
+        raise ValueError("need 1 <= k_min <= k_max and dim >= 1")
+    return [MultiIndex._trusted((k,) * dim) for k in range(k_min, k_max + 1)]
 
 
 def geometric_schedule(dim: int, steps: int, start: int = 1, factor: int = 2) -> list[MultiIndex]:

@@ -186,6 +186,23 @@ def bit_loop_decision(q, offsets, table, max_subsets=1 << 20):
     return ("surjective",)
 
 
+def reduced_decision(q, offsets, table, max_subsets=1 << 20):
+    """`bit_loop_decision` of a rule read through its reduced rule.  With g
+    the gcd of the offsets' differences (1 for one offset), the rule is g
+    interleaved copies of the rule with offsets (o - min)/g: that rule is
+    searched, and its orphan word w becomes w at cells 0, g, 2g, ... with
+    zeros between.  With g = 1 this is `bit_loop_decision` itself."""
+    import math
+
+    g = math.gcd(*(o - min(offsets) for o in offsets)) or 1
+    got = bit_loop_decision(q, [(o - min(offsets)) // g for o in offsets], table, max_subsets)
+    if got[0] != "orphan":
+        return got
+    word = [0] * (g * (len(got[1]) - 1) + 1)
+    word[::g] = got[1]
+    return ("orphan", tuple(word))
+
+
 # ------------------------------------------------ the lexsort sampled check
 #
 # The sampled mode of `check_subadditivity` as the package ran it before

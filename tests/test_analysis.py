@@ -10,6 +10,8 @@ from feketeca import (
     BudgetExceeded,
     CellularAutomaton,
     MultiIndex,
+    OutRecord,
+    OutTable,
     RightPolytope,
     SurjectivityVerdict,
     VerdictStatus,
@@ -20,7 +22,6 @@ from feketeca import (
     diagonal_schedule,
     find_orphan,
     lambda_estimate,
-    log_base,
     minkowski_sum,
     out_size_transfer_1d,
     out_sizes_bruteforce,
@@ -32,26 +33,36 @@ from feketeca.subadditive import _grid
 import oracles
 
 
+def _record_log(n, q):
+    """log_q(n) as a count record reads it."""
+    return OutRecord(MultiIndex((1,)), n, q, "test").log_out
+
+
 class TestLoss:
     def test_log_base_exact_on_powers(self):
-        assert log_base(2**300, 2) == 300.0
-        assert log_base(3**41, 3) == 41.0
-        assert abs(log_base(7, 2) - math.log2(7)) < 1e-15
+        assert _record_log(2**300, 2) == 300.0
+        assert _record_log(3**41, 3) == 41.0
+        assert abs(_record_log(7, 2) - math.log2(7)) < 1e-15
 
     def test_log_base_is_exact_on_powers_and_only_there(self):
         """q^k gives exactly float(k) for k up to 20000 (every k to 2000,
         then a stride); q^k - 1 and q^k + 1 get the quotient of logarithms,
-        which differs from k wherever a float can tell them apart."""
+        which differs from k wherever a float can tell them apart.  Read
+        off a table's `log_out` column, and off one record."""
         for q in range(2, 6):
-            power = 1
+            power, want = 1, []  # (n, its log_q)
             for k in range(20001):
                 if k <= 2000 or k % 61 == 0:
-                    assert log_base(power, q) == float(k)
+                    want.append((power, float(k)))
                     for n in {max(power - 1, 1), power + 1} - {power}:
                         x = math.log(n) / math.log(q)
-                        assert log_base(n, q) == x
+                        want.append((n, x))
                         assert power > 1 << 40 or x != float(k)
                 power *= q
+            counts = [n for n, _ in want]
+            column = OutTable(q, "test", counts, [""] * len(counts)).log_out
+            assert column.tolist() == [x for _, x in want]
+            assert all(_record_log(n, q) == x for n, x in want)
 
     def test_shift_loss_is_zero(self, shift):
         for n in range(1, 11):
@@ -164,7 +175,7 @@ class TestLambdaEstimate:
         from feketeca import SubadditiveFn, running_infimum
 
         out = {r.sides: r.out_size for r in out_size_transfer_1d(and1d, 2000)}
-        f = SubadditiveFn(1, lambda x: log_base(out[x], 2), name="log2-and-count")
+        f = SubadditiveFn(1, lambda x: oracles.log_base(out[x], 2), name="log2-and-count")
         est = running_infimum(f, [(n,) for n in range(1, 2001)])
         lo, hi = est.bracket
         assert lo <= 0.8114 <= hi and hi - lo <= 0.02
@@ -364,7 +375,7 @@ class TestThresholds:
         if T > 400:
             return
         q = ca.state_count
-        for rec in out_size_transfer_1d(ca, T + 100)[T - 1:]:
+        for rec in list(out_size_transfer_1d(ca, T + 100))[T - 1:]:
             n = rec.sides[0]
             assert q ** (n - r[0] - K) >= rec.out_size
 

@@ -365,6 +365,18 @@ class TestDecide:
         path = describe("xor", {"rule": {"builtin": "xor1d"}})
         assert cli.main(["decide", path]) == EXIT_OK
 
+    def test_a_gapped_rule_is_decided_through_its_reduced_rule(self, describe, capsys):
+        # offsets [0, 19]: the span-2 reduced rule is decided, and AND's
+        # orphan 101 is spread 19 cells apart, 39 cells and code 2^38 + 1
+        doc = {"dimension": 1, "states": 2, "neighborhood": [0, 19]}
+        path = describe("and20", {**doc, "rule": {"table": [0, 0, 0, 1]}})
+        assert cli.main(["decide", path]) == EXIT_NONSURJECTIVE
+        out = capsys.readouterr().out
+        assert "orphan pattern on sides 39:" in out and "code: 274877906945" in out.splitlines()
+        path = describe("xor20", {**doc, "rule": {"table": [0, 1, 1, 0]}})
+        assert cli.main(["decide", path]) == EXIT_OK
+        assert "verdict: PROVED_SURJECTIVE" in capsys.readouterr().out.splitlines()
+
 
 class TestLambda:
     def test_each_box_is_coerced_at_most_once(self, describe, capsys, monkeypatch):

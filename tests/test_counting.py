@@ -109,7 +109,7 @@ class TestBatch:
         recs = out_sizes_bruteforce(and2d, boxes, budget=1 << 20)
         # 5x5 is refused; 3x3 and 4x1 are the maximal fitting boxes
         assert enumerations == [(3, 3), (4, 1)]
-        assert [(r.out_size, r.detail) for r in recs[:5]] == [
+        assert [(r.out_size, r.detail) for r in list(recs)[:5]] == [
             (16, "from=3x3"),
             (340, "cells=15,chunks=1"),
             (16, "cells=9,chunks=1"),
@@ -322,6 +322,12 @@ class TestDecision1D:
         # the empty subset is reached before a fourth subset is
         assert decide_surjectivity_1d(and1d, max_subsets=3).pattern.cells == (1, 0, 1)
 
+    def test_a_cap_below_one_subset_is_an_error(self, and1d, xor1d):
+        # the full set is subset 1: no search fits a cap of 0
+        for ca in (and1d, xor1d):
+            with pytest.raises(ValueError, match=r"^max_subsets must be >= 1$"):
+                decide_surjectivity_1d(ca, max_subsets=0)
+
 
 class TestOutSizes:
     def test_one_transfer_call_in_1d(self, and1d, enumerations):
@@ -367,11 +373,9 @@ class TestSubsetTablePrice:
         assert (rec.out_size, rec.full_size, rec.method) == (2, 2, "bruteforce")
 
         # offsets (0, 23) lie in one coset of 23Z: transfer counts them
-        # through the span-2 reduced rule, and only the decision is refused
+        # and the decision decides them through the span-2 reduced rule
         gapped = CellularAutomaton(1, 2, ((0,), (23,)), (0, 1, 1, 0))
-        with pytest.raises(BudgetExceeded) as refused:
-            decide_surjectivity_1d(gapped)
-        assert refused.value.cost == 2**47
+        assert decide_surjectivity_1d(gapped) is None
         recs = out_sizes(gapped, range(1, 9))
         assert all(r.method == "transfer1d" for r in recs)
         brute = out_sizes_bruteforce(gapped, range(1, 9))

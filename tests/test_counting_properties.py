@@ -451,19 +451,41 @@ def test_a_cheap_gapped_rule_counts_past_the_product_cap():
     assert live[3] ** 4 * live[2] > 1 << 16
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(rule=rule_1d_wide(), cap=st.sampled_from([64, 200, 1000, 4096]))
-def test_decision_matches_the_bit_loop(rule, cap):
-    q, offsets, table = rule
-    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
-    want = oracles.bit_loop_decision(q, offsets, table, cap)
+def _decision(ca, cap):
+    """The decision as `oracles.bit_loop_decision` writes it."""
     try:
         cert = decide_surjectivity_1d(ca, max_subsets=cap)
     except counting.BudgetExceeded as exc:
-        got = ("refused", str(exc), exc.cost)
-    else:
-        got = ("surjective",) if cert is None else ("orphan", cert.pattern.cells)
-    assert got == want
+        return ("refused", str(exc), exc.cost)
+    return ("surjective",) if cert is None else ("orphan", cert.pattern.cells)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rule=rule_1d_wide(), cap=st.sampled_from([64, 200, 1000, 4096]))
+def test_decision_matches_the_bit_loop(rule, cap):
+    """The bit loop; a gapped rule's on its reduced rule, the orphan
+    word spread, and the reduced search's refusal."""
+    q, offsets, table = rule
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    assert _decision(ca, cap) == oracles.reduced_decision(q, offsets, table, cap)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rule=gapped_rule_1d(), cap=st.sampled_from([4096, 1, 5, 64]))
+def test_a_gapped_decision_is_the_reduced_one_spread(rule, cap):
+    """The reduced rule's decision, spread; the undecomposed search's
+    wherever that decides within the cap; and the code-minimal orphan at
+    its length, with none shorter, wherever brute force fits 2^16 inputs."""
+    q, offsets, table = rule
+    ca = CellularAutomaton(1, q, tuple((o,) for o in offsets), table)
+    got = _decision(ca, cap)
+    assert got == oracles.reduced_decision(q, offsets, table, cap)
+    undecomposed = oracles.bit_loop_decision(q, offsets, table, cap)
+    assert undecomposed[0] == "refused" or got == undecomposed
+    if got[0] == "orphan" and _input_count(ca, len(got[1])) <= _DECIDE_CAP:
+        n = len(got[1])
+        assert find_orphan(ca, n).pattern.cells == got[1]
+        assert all(find_orphan(ca, k) is None for k in range(1, n))
 
 
 def test_wide_rules_step_by_numpy_and_by_the_walk(monkeypatch):
