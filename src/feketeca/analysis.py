@@ -20,8 +20,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .ca import CellularAutomaton, _integers
 from .counting import (
@@ -39,6 +42,8 @@ from .subadditive import (
     FeketeEstimate,
     MultiIndex,
     Violation,
+    _as_boxes,
+    _first_rows,
     _grid,
     _infimum,
     as_index,
@@ -86,7 +91,7 @@ class LambdaEstimate:
     estimate: FeketeEstimate
     records: OutTable
     notes: tuple[str, ...] = ()
-    subadditivity_violations: tuple[Violation, ...] = ()
+    subadditivity_violations: Sequence[Violation] = ()
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -104,39 +109,42 @@ def lambda_estimate(
 ) -> LambdaEstimate:
     """Estimate the per-cell limit over a schedule of box sizes.
 
-    Output sizes come from one `out_sizes` call, which coerces each box
-    once; the table keeps the first row of each box, in schedule order,
-    and drops boxes refused for budget, each named in `notes`.  The
-    running infimum reads its columns, f = `log_out`.  The exact counts
-    are checked log-subadditive,
+    The schedule is a `Boxes` or any sequence of boxes, each coerced
+    once, and output sizes come from one `out_sizes` call on its columns.
+    The table keeps the first row of each box, in schedule order, found
+    on the columns, and drops boxes refused for budget, each named in
+    `notes`.  The running infimum reads its columns, f = `log_out`.  The
+    exact counts are checked log-subadditive,
     Out(x + y) <= Out(x) * Out(y) in integers, by the multiplicative
-    `check_subadditivity_on_table` on the keys whose every side is at
-    most `_EXACT_CHECK_SIDE` or a power of two.  In d >= 2 that is every
-    key: a box is only counted when its q^volume-byte bitmap fits
-    `counting._BITMAP_BYTES` (2^30), so no side exceeds 30.  In 1D it is
-    every split of a length <= 64 plus the doublings 2^k + 2^k = 2^(k+1)
-    at every scale.  A violation contradicts the pattern-joining
-    argument, so it flags a counting bug rather than a property of the
-    automaton."""
-    table = out_sizes(ca, schedule, budget)
-    # each box's first row: walking back, it is the last to set its entry
-    rows = sorted(dict(zip(reversed(table.sides), range(len(table) - 1, -1, -1))).values())
+    `check_subadditivity_on_table` on the columns of the keys whose every
+    side is at most `_EXACT_CHECK_SIDE` or a power of two.  In d >= 2
+    that is every key: a box is only counted when its q^volume-byte
+    bitmap fits `counting._BITMAP_BYTES` (2^30), so no side exceeds 30.
+    In 1D it is every split of a length <= 64 plus the doublings
+    2^k + 2^k = 2^(k+1) at every scale.  A violation contradicts the
+    pattern-joining argument, so it flags a counting bug rather than a
+    property of the automaton."""
+    boxes = _as_boxes(schedule, ca.dimension)
+    if not len(boxes):
+        raise ValueError("schedule must be nonempty")
+    table = out_sizes(ca, boxes, budget)
+    rows = _first_rows(boxes.coords).tolist()
     skipped = [i for i in rows if i in table.refused]
     notes = tuple(f"skipped {tuple(table.sides[i])}: {table.counts[i]}" for i in skipped)
-    if not rows:
-        raise ValueError("schedule must be nonempty")
     if len(notes) == len(rows):
         raise BudgetExceeded("no scheduled box fits the budget")
     if len(rows) - len(notes) < len(table):
         table = table.take([i for i in rows if i not in table.refused])
 
-    exact = {s for s in set().union(*table.sides) if s <= _EXACT_CHECK_SIDE or s & (s - 1) == 0}
-    checked = {x: n for x, n in zip(table.sides, table.counts) if exact.issuperset(x)}
+    keys, counts = table.sides.coords, table.counts
+    if keys.max() > _EXACT_CHECK_SIDE:  # keep the keys whose every side is exact
+        exact = ((keys <= _EXACT_CHECK_SIDE) | (keys & (keys - 1) == 0)).all(axis=1)
+        keys, counts = keys[exact], np.array(counts, dtype=object)[exact]
     violations = ()
-    if checked:
-        violations = tuple(check_subadditivity_on_table(checked, multiplicative=True))
+    if len(keys):
+        violations = check_subadditivity_on_table((keys, counts), multiplicative=True)
     return LambdaEstimate(
-        estimate=_infimum(table.sides, table.log_out.tolist(), table.volumes.tolist()),
+        estimate=_infimum(table.sides.coords, table.log_out, table.volumes),
         records=table,
         notes=notes,
         subadditivity_violations=violations,

@@ -31,14 +31,16 @@ from .counting import (
 )
 from .subadditive import (
     DEFAULT_EXHAUSTIVE_LIMIT,
+    Boxes,
     MultiIndex,
     SubadditiveFn,
     check_subadditivity,
     check_subadditivity_on_table,
-    diagonal_schedule,
     running_infimum,
     subadditivity_triple_count,
     _grid,
+    _int_array,
+    _lex_last,
 )
 
 EXIT_OK = 0
@@ -70,7 +72,20 @@ def parse_sides(token: str, dim: int | None = None) -> MultiIndex:
     return sides
 
 
-def parse_schedule(text: str, dim: int) -> list[MultiIndex]:
+def _parsed(tokens: list[str], dim: int) -> np.ndarray | None:
+    """The sides of each token, as `parse_sides` reads them, as the rows of
+    one array parsed in one pass; None if some token is not `dim` sides."""
+    parts = "x".join(tokens).replace(" ", "").split("x")
+    if {tok.count("x") for tok in tokens} != {dim - 1}:
+        return None
+    try:
+        coords = _int_array(list(map(int, parts)))
+    except ValueError:
+        return None
+    return coords.reshape(-1, dim) if coords.min() >= 1 else None
+
+
+def parse_schedule(text: str, dim: int) -> Boxes:
     """'diag:1..N' for the diagonal, or an explicit comma list of sides."""
     text = text.strip()
     if text.startswith("diag:"):
@@ -84,11 +99,16 @@ def parse_schedule(text: str, dim: int) -> list[MultiIndex]:
             raise DescriptionError(f"bad schedule {text!r}: bounds must be integers") from None
         if not 1 <= lo <= hi:
             raise DescriptionError(f"bad schedule {text!r}: need 1 <= LO <= HI")
-        return diagonal_schedule(dim, hi, lo)
-    schedule = [parse_sides(tok, dim) for tok in text.split(",") if tok.strip()]
-    if not schedule:
+        fits = hi < 1 << 62  # else exact ints, dtype object
+        side = np.arange(lo, hi + 1, dtype=np.int64) if fits else _int_array(range(lo, hi + 1))
+        return Boxes(np.repeat(side[:, None], dim, axis=1))
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
         raise DescriptionError(f"bad schedule {text!r}: no sides given")
-    return schedule
+    coords = _parsed(tokens, dim)
+    if coords is None:  # parse_sides names the first bad token
+        coords = _int_array([parse_sides(tok, dim) for tok in tokens])
+    return Boxes(coords)
 
 
 def _read_json(path: str):
@@ -236,7 +256,7 @@ def cmd_out_table(args) -> int:
         table = out_size_transfer_1d(ca, args.max_sides)
     else:
         lengths = [s[0] for s in sides_list]
-        table = out_size_transfer_1d(ca, max(lengths)).take([n - 1 for n in lengths], sides_list)
+        table = out_size_transfer_1d(ca, max(lengths)).take([n - 1 for n in lengths])
 
     header = [f"x{i+1}" for i in range(ca.dimension)]
     header += ["out_size", "full_size", "ratio", "lambda_qits", "status"]
@@ -260,7 +280,7 @@ def cmd_out_table(args) -> int:
 
 def _axes(table, dim: int) -> list:
     """The columns of the boxes' sides; in 1D, the lengths, which are the volumes."""
-    return [table.volumes.tolist()] if dim == 1 else list(zip(*table.sides))
+    return [table.volumes.tolist()] if dim == 1 else table.sides.coords.T.tolist()
 
 
 def _csv_rows(fmt: str, columns: list) -> list[str]:
@@ -367,29 +387,36 @@ _FEKETE_BUILTINS = {
 }
 
 
-def load_fekete_table(path: str) -> dict[MultiIndex, float]:
+def load_fekete_table(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     """JSON table {"values": {"3": 5, "2x4": 7, ...}} with 'x'-separated
-    keys of one dimension."""
+    keys of one dimension, as columns: the distinct keys as the rows of
+    an integer array, parsed in one pass, their float64 values, and the
+    row of each key as a tuple.  Two spellings of one key ("2x3" and
+    "2 x 3") are one row, where the first stands, with the last's value."""
     data = _read_json(path)
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, dict) or not values:
         raise DescriptionError("key 'values' must be a nonempty object")
-    dim = parse_sides(next(iter(values))).dim
-    table = {}
-    for key, val in values.items():
-        idx = parse_sides(key)
-        if idx.dim != dim:
-            raise DescriptionError(f"key 'values': keys mix dimensions ({dim} and {idx.dim})")
+    keys = list(values)
+    dim = parse_sides(keys[0]).dim
+    coords = _parsed(keys, dim)
+    for key, val in values.items():  # the first bad entry raises
+        if coords is None and (other := parse_sides(key).dim) != dim:
+            raise DescriptionError(f"key 'values': keys mix dimensions ({dim} and {other})")
         if not (_is_int(val) or isinstance(val, float)):
             raise DescriptionError(f"key 'values': entry {key!r} is not a number")
         try:
-            val = float(val)
+            finite = math.isfinite(val)  # json reads NaN and Infinity
         except OverflowError:  # an int past the float range
-            val = math.inf
-        if not math.isfinite(val):  # json reads NaN and Infinity
+            finite = False
+        if not finite:
             raise DescriptionError(f"key 'values': entry {key!r} is not finite")
-        table[idx] = val
-    return table
+    column = np.array(list(values.values()), dtype=np.float64)
+    rows = dict(zip(map(tuple, coords.tolist()), range(len(keys))))
+    if len(rows) < len(keys):
+        last = list(rows.values())
+        coords, column, rows = coords[last], column[last], dict(zip(rows, range(len(rows))))
+    return coords, column, rows
 
 
 def cmd_fekete(args) -> int:
@@ -404,27 +431,28 @@ def cmd_fekete(args) -> int:
                 + ", ".join(sorted(_FEKETE_BUILTINS))
             ) from None
     else:
-        table = load_fekete_table(args.table)
-        f = SubadditiveFn(next(iter(table)).dim, table.__getitem__, name=args.table)
+        coords, column, rows = load_fekete_table(args.table)
+        f = SubadditiveFn(coords.shape[1], lambda x: column[rows[x]], name=args.table)
 
     schedule = parse_schedule(args.schedule, f.dim)
-    base = parse_sides(args.base, f.dim) if args.base else max(schedule)
+    boxes = schedule.coords
+    base = parse_sides(args.base, f.dim) if args.base else schedule[_lex_last(boxes)]
     if args.table:
-        for box in schedule:
-            if box not in table:
+        for box in map(tuple, boxes.tolist()):
+            if box not in rows:
                 raise DescriptionError(
                     f"table is incomplete on the schedule: missing index "
                     + "x".join(str(s) for s in box)
                 )
-        if base not in table:
+        if base not in rows:
             raise DescriptionError(f"base {args.base} is not a key of the table")
         try:
-            violations = check_subadditivity_on_table(table)
+            violations = check_subadditivity_on_table((coords, column))
         except ValueError as exc:
             raise DescriptionError(str(exc)) from None
-        scope = f"table ({len(table)} entries)"
+        scope = f"table ({len(rows)} entries)"
     else:
-        box = MultiIndex._trusted(map(max, zip(*schedule)))
+        box = MultiIndex._trusted(boxes.max(axis=0).tolist())
         count = subadditivity_triple_count(box)
         try:
             violations = check_subadditivity(
@@ -453,7 +481,7 @@ def cmd_fekete(args) -> int:
         return EXIT_VIOLATIONS
 
     print("violations: 0")
-    est = running_infimum(f, schedule + [base])
+    est = running_infimum(f, Boxes(np.concatenate([boxes, _int_array([base])])))
     lo, hi = est.bracket
     print(f"boxes evaluated: {len(est.evaluated_boxes)}")
     print(f"running infimum: {_fmt12(est.running_inf)}")

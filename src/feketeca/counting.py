@@ -71,7 +71,7 @@ import numpy as np
 
 from .ca import CellularAutomaton, Pattern, RightPolytope, decode_states
 from .ca import _as_origin, _minkowski
-from .subadditive import MultiIndex, as_index
+from .subadditive import Boxes, MultiIndex, _as_boxes, as_index
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -193,28 +193,31 @@ class OutRecord:
 
 class OutTable:
     """Exact output sizes of a list of boxes, as columns: row i is the box
-    `sides[i]`, its exact count `counts[i]` (or, for i in `refused`, the
-    `BudgetExceeded` refusal) and its `OutRecord.detail`.  A table of the
-    lengths 1..n builds its `sides` on first use.  `log_out` holds log_q
-    of every count (0 on a refused row), exact on powers of q.  Indexing
-    or iterating gives `OutRecord` row views, or the refusal."""
+    `sides[i]` (`sides` is a `Boxes`), its exact count `counts[i]` (or,
+    for i in `refused`, the `BudgetExceeded` refusal) and its
+    `OutRecord.detail`.  A table of the lengths 1..n builds its `sides`
+    on first use.  `log_out` holds log_q of every count (0 on a refused
+    row), exact on powers of q.  Indexing or iterating gives `OutRecord`
+    row views, or the refusal."""
 
     def __init__(self, q: int, method: str, counts: list, details: list, sides=None, refused=()):
         self.q, self.method, self.counts, self.details = q, method, counts, details
         self._sides, self.refused = sides, refused
 
     @property
-    def sides(self) -> list[MultiIndex]:
+    def sides(self) -> Boxes:
         if self._sides is None:
-            self._sides = list(map(MultiIndex._trusted, zip(range(1, len(self) + 1))))
+            self._sides = Boxes(np.arange(1, len(self) + 1, dtype=np.int64)[:, None])
         return self._sides
 
     @cached_property
     def volumes(self) -> np.ndarray:
         """Each box's volume as int64, 1 on a refused row (whose box may not fit)."""
-        if self._sides is None:
-            return np.arange(1, len(self) + 1)
-        return np.fromiter(map(math.prod, self.filled(self._sides, (1,))), np.int64, len(self))
+        coords = self.sides.coords
+        if self.refused:
+            coords = coords.copy()
+            coords[list(self.refused)] = 1
+        return coords.prod(axis=1).astype(np.int64)
 
     @cached_property
     def log_out(self) -> np.ndarray:
@@ -226,11 +229,11 @@ class OutTable:
             return column
         return [fill if i in self.refused else v for i, v in enumerate(column)]
 
-    def take(self, rows: list[int], sides=None) -> "OutTable":
-        """The table of these rows in turn; `sides`, when given, are their boxes."""
+    def take(self, rows: list[int]) -> "OutTable":
+        """The table of these rows in turn."""
         refused = [j for j, i in enumerate(rows) if i in self.refused] if self.refused else ()
         counts, details = ([col[i] for i in rows] for col in (self.counts, self.details))
-        sides = sides or [self.sides[i] for i in rows]
+        sides = Boxes(self.sides.coords[rows])
         return OutTable(self.q, self.method, counts, details, sides, refused)
 
     def __len__(self) -> int:
@@ -471,7 +474,8 @@ def out_sizes_bruteforce(
         for i, count, detail in _read_group(ca, *enumerated[c], [boxes[i] for i in rows], rows):
             counts[i], details[i] = count, detail
     refused = tuple(i for i, count in enumerate(counts) if isinstance(count, BudgetExceeded))
-    return OutTable(ca.state_count, "bruteforce", counts, details, boxes, refused)
+    sides = _as_boxes(boxes, ca.dimension)
+    return OutTable(ca.state_count, "bruteforce", counts, details, sides, refused)
 
 
 def _read_group(
@@ -758,14 +762,15 @@ def out_sizes(
     or when the transfer refuses, `out_sizes_bruteforce` counts the boxes
     under the budget.
     """
-    boxes = [as_index(s, ca.dimension) for s in sides_list]
-    if ca.dimension == 1 and boxes:
+    boxes = _as_boxes(sides_list, ca.dimension)
+    if ca.dimension == 1 and len(boxes):
+        lengths = boxes.coords[:, 0]
         try:
-            table = out_size_transfer_1d(ca, max(boxes)[0])
+            table = out_size_transfer_1d(ca, int(lengths.max()))
         except BudgetExceeded:
             pass
         else:
-            return table.take([b[0] - 1 for b in boxes], boxes)
+            return table.take((lengths - 1).tolist())
     return out_sizes_bruteforce(ca, boxes, budget)
 
 

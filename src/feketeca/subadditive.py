@@ -19,8 +19,8 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,9 +93,90 @@ def as_index(value, dim: int | None = None) -> MultiIndex:
     return idx
 
 
-def _grid(box: MultiIndex) -> list[MultiIndex]:
+def _int_array(rows) -> np.ndarray:
+    """rows as an int64 array, or as exact ints (dtype object) once one passes int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+class _Rows(Sequence):
+    """Rows of columns, row i built as make(column[i] of each column)
+    only when it is read, so `len` costs nothing; equal to any sequence
+    of equal items."""
+
+    def __init__(self, make: Callable, *columns):
+        self._make, self._columns = make, columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return self._make(*(column[i] for column in self._columns))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _box(row: np.ndarray) -> MultiIndex:
+    return MultiIndex._trusted(row.tolist())
+
+
+class Boxes(_Rows):
+    """Boxes as the rows of an (n, d) array `coords`, int64 unless a
+    coordinate passes it (then exact ints, dtype object); row i reads as a
+    MultiIndex, and `index` finds a box by one comparison of the columns."""
+
+    def __init__(self, coords: np.ndarray):
+        super().__init__(_box, coords)
+        self.coords = coords
+
+    def __iter__(self):
+        return map(MultiIndex._trusted, self.coords.tolist())
+
+    def index(self, box) -> int:
+        same = len(box) == self.coords.shape[1] and (self.coords == _int_array([box])).all(1)
+        if not np.any(same):
+            raise ValueError(f"{tuple(box)} is not among the boxes")
+        return int(np.argmax(same))
+
+
+def _as_boxes(boxes, dim: int) -> Boxes:
+    """`Boxes` of dimension `dim` as they are; other boxes (ints or tuples)
+    coerced once each by `as_index`."""
+    if isinstance(boxes, Boxes) and boxes.coords.shape[1] == dim:
+        return boxes
+    return Boxes(_int_array([as_index(b, dim) for b in boxes]).reshape(-1, dim))
+
+
+def _grid(box: MultiIndex) -> Boxes:
     """Every box <= `box` in the product order, in row-major order."""
-    return list(map(MultiIndex._trusted, itertools.product(*[range(1, s + 1) for s in box])))
+    cells = itertools.product(*[range(1, s + 1) for s in box])
+    return Boxes(np.array(list(cells), dtype=np.int64).reshape(-1, len(box)))
+
+
+def _first_rows(coords: np.ndarray) -> np.ndarray:
+    """Ascending positions at which the distinct rows of coords first occur."""
+    order = np.lexsort(coords.T[::-1])  # stable: equal rows keep their order
+    ordered = coords[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+def _lex_last(coords: np.ndarray) -> int:
+    """The row of coords that is the lexicographically last box."""
+    return int(np.lexsort(coords.T[::-1])[-1])
 
 
 class SubadditiveFn:
@@ -117,36 +198,19 @@ class SubadditiveFn:
         return float(self.fn(as_index(x, self.dim)))
 
     def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
-        """f at each row of an (n, dim) int64 array of valid points, as
-        float64: one call of the wrapped callable per row, with one point
-        object alive at a time.  A subclass may compute the same floats
-        as array work."""
-        return np.fromiter(
-            (self.fn(MultiIndex._trusted(c)) for c in zip(*points.T.tolist())),
-            dtype=np.float64,
-            count=len(points),
-        )
+        """f at each row of an (n, dim) integer array of valid points, as
+        float64: one call of the wrapped callable per distinct row, in the
+        order the rows first appear.  A subclass may compute the same
+        floats as array work, with no dedupe."""
+        rows = list(map(tuple, points.tolist()))
+        memo = dict.fromkeys(rows)
+        for x in memo:
+            memo[x] = self.fn(MultiIndex._trusted(x))
+        return np.fromiter(map(memo.__getitem__, rows), dtype=np.float64, count=len(rows))
 
     def __repr__(self):
         label = self.name or getattr(self.fn, "__name__", "fn")
         return f"SubadditiveFn(dim={self.dim}, {label})"
-
-
-def _index_table(values: Mapping, convert: Callable) -> dict:
-    """The mapping with keys coerced to MultiIndex of one dimension and
-    values passed through `convert`."""
-    if not values:
-        raise ValueError("table must be nonempty")
-    table = {}
-    dim = None
-    for key, val in values.items():
-        idx = key if isinstance(key, MultiIndex) else as_index(key)
-        if dim is None:
-            dim = idx.dim
-        elif idx.dim != dim:
-            raise ValueError(f"table keys mix dimensions ({dim} and {idx.dim})")
-        table[idx] = convert(val)
-    return table
 
 
 @dataclass(frozen=True)
@@ -166,6 +230,16 @@ class Violation:
     y: int
     lhs: float
     rhs: float
+
+
+def _violation(x: np.ndarray, axis: int, *rest) -> Violation:
+    return Violation("negative" if axis < 0 else "subadditive", axis, _box(x), *rest)
+
+
+def _violations(x, axis, y, lhs, rhs) -> Sequence[Violation]:
+    """Violations as columns (axis -1 on a negative value), each row read
+    as a `Violation` only when it is read."""
+    return _Rows(_violation, x, *(column.tolist() for column in (axis, y, lhs, rhs)))
 
 
 def subadditivity_triple_count(box) -> int:
@@ -248,33 +322,32 @@ def check_subadditivity(
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     seed: int = 0,
     samples: int = 10_000,
-) -> list[Violation]:
+) -> Sequence[Violation]:
     """Test the coordinate subadditivity inequality inside a box.
 
     Every tested triple (axis, x, y) satisfies x <= box coordinatewise and
     x[axis] + y <= box[axis].  The sweep is exhaustive when the triple
-    count is at most `exhaustive_limit`: f is tabulated on every cell of
-    the box and `check_subadditivity_on_table` tests the table.  Otherwise
-    `samples` triples are drawn at once as uniform floats from
-    `random.Random(seed)`: an axis that can be split, x on it below the
-    box side, the other coordinates of x anywhere in the box, and y up
-    to the box side.  A triple drawn twice is tested once, and f is
-    evaluated once per distinct point, by one `f.evaluate_rows` call on
-    the array of distinct points (see `_unique_rows` for the dedupe).
-    Either way the violations come in the same order: negative values
-    of f first (their own violation kind), in row-major order of the
-    point, then row-major order of x, then axis, then y; so the sampled
-    result is an ordered sublist of the exhaustive one.  Returns the
-    empty list iff the inequality held (up to float rounding noise) on
-    every tested triple.
+    count is at most `exhaustive_limit`: one `f.evaluate_rows` call
+    tabulates f on the box and `check_subadditivity_on_table` tests the
+    columns.  Otherwise `samples` triples are drawn at once as uniform
+    floats from `random.Random(seed)`: an axis that can be split, x on it
+    below the box side, the other coordinates of x anywhere in the box,
+    and y up to the box side; a triple drawn twice is tested once, and
+    one `f.evaluate_rows` call evaluates the 3 points of every triple.
+    Either way negative values of f come first (their own violation
+    kind), once per distinct point in row-major order, then row-major
+    order of x, then axis, then y; so the sampled result is an ordered
+    sublist of the exhaustive one.  No violation is returned iff the
+    inequality held (up to float rounding noise) on every tested triple.
     """
     box = as_index(box, f.dim)
     if subadditivity_triple_count(box) <= exhaustive_limit:
-        return check_subadditivity_on_table({c: f(c) for c in _grid(box)})
+        coords = _grid(box).coords
+        return check_subadditivity_on_table((coords, f.evaluate_rows(coords)))
 
     axes = [j for j, side in enumerate(box) if side >= 2]
     if samples <= 0 or not axes:
-        return []
+        return _violations(np.empty((0, f.dim), np.int64), *[np.empty(0)] * 4)
     if max(box) >= 1 << 63:
         raise ValueError(f"sampling needs box sides below 2^63, got {tuple(box)}")
     x, axis, y = _sample_triples(box, axes, seed, samples)
@@ -282,118 +355,130 @@ def check_subadditivity(
     other, total = x.copy(), x.copy()
     other[rows, axis] = y
     total[rows, axis] += y
-    coords, inv = _unique_rows(np.concatenate([x, other, total]), [side + 1 for side in box])
-
-    def point(i: int) -> MultiIndex:  # in range by construction
-        return MultiIndex._trusted(coords[i].tolist())
-
-    vals = f.evaluate_rows(coords)  # once per distinct point
-    xi, oi, ti = inv.reshape(3, -1)
-    violations = [
-        Violation("negative", -1, point(i), 0, vals[i].item(), 0.0)
-        for i in np.flatnonzero(vals < 0)
-    ]
-    lhs, rhs = vals[ti], vals[xi] + vals[oi]
+    points = np.concatenate([x, other, total])
+    vals = f.evaluate_rows(points)
+    negative, inv = _unique_rows(points[vals < 0], [side + 1 for side in box])
+    k = len(negative)
+    neg_vals = np.empty(k)
+    neg_vals[inv] = vals[vals < 0]  # one value per point
+    fx, fo, lhs = vals.reshape(3, -1)
+    rhs = fx + fo
     bad = _exceeds(lhs, rhs)
-    violations += [
-        Violation("subadditive", a, point(i), b, lo, hi)
-        for i, a, b, lo, hi in zip(*(part[bad].tolist() for part in (xi, axis, y, lhs, rhs)))
-    ]
-    return violations
+    parts = ((negative, x), (np.full(k, -1), axis), (np.zeros(k, np.int64), y),
+             (neg_vals, lhs), (np.zeros(k), rhs))
+    return _violations(*(np.concatenate([head, tail[bad]]) for head, tail in parts))
 
 
-def check_subadditivity_on_table(
-    values: Mapping, *, multiplicative: bool = False
-) -> list[Violation]:
+def check_subadditivity_on_table(values, *, multiplicative: bool = False) -> Sequence[Violation]:
     """Subadditivity check restricted to triples fully covered by a table.
 
-    Tests every (axis, x, y) for which x, the y-variant and the sum-variant
-    all appear as keys.  Useful for sparse user-supplied tables where
-    evaluating off-table points is impossible.
+    `values` maps boxes to values, or is the pair of columns (coords,
+    vals): an (n, d) integer array of distinct boxes and their values.
+    Tests every (axis, x, y) for which x, the y-variant and the
+    sum-variant all appear as keys: sparse user-supplied tables need no
+    off-table point.  With `multiplicative=True` the values must be
+    positive integers (such as output counts, whose logarithm is meant
+    to be subadditive) and the test is f(x + y) <= f(x) * f(y), exact: the
+    values stay Python ints in object arrays, no tolerance applies, and
+    a violation's lhs and rhs are the exact ints.
 
-    With `multiplicative=True` the values must be positive integers (such
-    as output counts, whose logarithm is meant to be subadditive) and the
-    test is f(x + y) <= f(x) * f(y), exact: the values stay Python ints
-    in object arrays, no tolerance applies, and a violation's lhs and
-    rhs are the exact ints.
-
-    Keys are grouped into lines (all coordinates but `axis` equal); on a
-    line with sorted positions p, the tested triples are the pairs
-    x < total from p whose difference y is in p as well, found by
-    `np.searchsorted`.  Rows of x are taken in blocks of at most
-    `_PAIR_BLOCK` (x, total) pairs, so working memory is bounded by the
-    block and never by the spread of the coordinates: a key at 10**9
-    costs no more than one at 10.  Violations come in table order of x,
-    then axis, then y.  A coordinate of 2^63 or more raises ValueError.
+    Keys are grouped into lines (all coordinates but `axis` equal), and
+    the lines at one set of sorted positions p are tested together: for
+    each block of rows x of at most `_PAIR_BLOCK` (x, total) pairs from p,
+    the difference y is looked up in p by `np.searchsorted`, and one
+    gather tests the pairs on as many lines of the set as keep the block
+    within `_PAIR_BLOCK` values.  Every line of a complete grid along an
+    axis is in one set.  Working memory is bounded by the block, never by
+    the spread of the coordinates: a key at 10**9 costs no more than one
+    at 10.  Violations come in table order of x, then axis, then y.  A
+    coordinate of 2^63 or more raises ValueError.
     """
-    table = _index_table(values, operator.index if multiplicative else float)
+    if isinstance(values, Mapping):
+        if not values:
+            raise ValueError("table must be nonempty")
+        keys = _as_boxes(values, len(as_index(next(iter(values))))).coords
+        columns = (keys, list(values.values()))
+        return check_subadditivity_on_table(columns, multiplicative=multiplicative)
+    coords, vals = values
     if multiplicative:
-        if min(table.values()) < 1:
+        vals = np.array([operator.index(v) for v in vals], dtype=object)
+        if min(vals) < 1:
             raise ValueError("the multiplicative check needs positive integer values")
-        vals = np.array(list(table.values()), dtype=object)
-    else:
-        vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
-    keys = list(table)
-    try:
-        coords = np.array(keys, dtype=np.int64)
-    except OverflowError:
-        big = tuple(next(k for k in keys if max(k) >= 1 << 63))
-        raise ValueError(f"the table check needs coordinates below 2^63, got {big}") from None
-    violations = [] if multiplicative else [  # positive ints were checked above
-        Violation("negative", -1, keys[i], 0, vals[i].item(), 0.0)
-        for i in np.flatnonzero(vals < 0)
-    ]
-    found = []  # (x key index, axis, y, lhs, rhs) arrays, one per block with a hit
-    for axis in range(coords.shape[1]):
-        rest = coords[:, np.arange(coords.shape[1]) != axis]
+    vals = np.asarray(vals, dtype=object if multiplicative else np.float64)
+    if coords.dtype == object:
+        big = next(row for row in coords.tolist() if max(row) >= 1 << 63)
+        raise ValueError(f"the table check needs coordinates below 2^63, got {tuple(big)}")
+    found = []  # (x row, axis, y, lhs, rhs) arrays, the negative values first
+    neg = np.flatnonzero(vals < 0)
+    if len(neg):
+        found.append((neg, np.full(len(neg), -1), 0 * neg, vals[neg], np.zeros(len(neg))))
+    axes = np.arange(coords.shape[1])
+    for axis in axes.tolist():
+        rest = coords[:, axes != axis]
         order = np.lexsort((coords[:, axis], *rest.T))  # by line, then position
-        rest = rest[order]
-        cuts = [0, *np.flatnonzero((rest[1:] != rest[:-1]).any(axis=1)) + 1, len(order)]
-        for idx in (order[a:b] for a, b in zip(cuts, cuts[1:]) if b - a > 1):  # lines of 2+ keys
-            pos, val = coords[idx, axis], vals[idx]
-            block = max(1, _PAIR_BLOCK // len(pos))
-            for r0 in range(0, len(pos) - 1, block):
-                xs = np.arange(r0, min(r0 + block, len(pos) - 1))
-                ys = pos[r0 + 1:] - pos[xs, None]  # column c is total r0 + 1 + c
-                other = np.minimum(np.searchsorted(pos, ys), len(pos) - 1)
-                row, col = np.nonzero(pos[other] == ys)
-                xi, ti, oi, y = xs[row], col + r0 + 1, other[row, col], ys[row, col]
-                if multiplicative:
-                    lhs, rhs = val[ti], val[xi] * val[oi]
-                    bad = lhs > rhs
-                else:
-                    lhs, rhs = val[ti], val[xi] + val[oi]
-                    bad = _exceeds(lhs, rhs)
-                if bad.any():
-                    found.append((idx[xi[bad]], np.full(bad.sum(), axis), y[bad], lhs[bad], rhs[bad]))
-    if found:
-        xk, ax, y, lhs, rhs = (np.concatenate(part) for part in zip(*found))
-        order = np.lexsort((y, ax, xk))
-        violations += [
-            Violation("subadditive", a, keys[i], b, lo, hi)
-            for i, a, b, lo, hi in zip(*(part[order].tolist() for part in (xk, ax, y, lhs, rhs)))
-        ]
-    return violations
+        rest, at = rest[order], coords[order, axis]
+        cuts = (np.flatnonzero((rest[1:] != rest[:-1]).any(axis=1)) + 1).tolist()
+        cuts = [0, *cuts, len(order)]
+        sets = {}  # positions of a line of 2+ keys -> the table rows of each line there
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a > 1:
+                sets.setdefault(at[a:b].tobytes(), []).append(order[a:b])
+        for lines in sets.values():
+            found += _set_hits(np.array(lines), coords, vals, axis, multiplicative)
+    if not found:
+        return _violations(coords[:0], *[np.empty(0)] * 4)
+    xk, ax, y, lhs, rhs = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((y, ax, xk, ax >= 0))  # the negative values first
+    return _violations(coords[xk[order]], *(part[order] for part in (ax, y, lhs, rhs)))
+
+
+def _set_hits(lines: np.ndarray, coords, vals, axis: int, multiplicative: bool) -> list:
+    """(x row, axis, y, lhs, rhs) arrays of the failed triples on a set of
+    lines, whose table rows are the rows of `lines`, sorted by position."""
+    pos, v = coords[lines[0], axis], vals[lines]
+    m, hits = len(pos), []
+    block = max(1, _PAIR_BLOCK // m)
+    for r0 in range(0, m - 1, block):
+        xs = np.arange(r0, min(r0 + block, m - 1))
+        ys = pos[r0 + 1:] - pos[xs, None]  # column c is total r0 + 1 + c
+        other = np.minimum(np.searchsorted(pos, ys), m - 1)
+        split = pos[other] == ys  # y is a position too
+        chunk = max(1, _PAIR_BLOCK // ys.size)  # lines tested at once
+        for l0 in range(0, len(lines) if split.any() else 0, chunk):
+            at = v[l0:l0 + chunk]
+            lhs, fx, fo = at[:, None, r0 + 1:], at[:, xs, None], at[:, other]
+            rhs = fx * np.where(split, fo, 0) if multiplicative else fx + fo  # exact products only of triples
+            bad = (lhs > rhs) & split
+            if bad.any():
+                line, row, col = np.nonzero(bad)
+                lhs, rhs = at[line, col + r0 + 1], rhs[line, row, col]
+                keep = slice(None) if multiplicative else _exceeds(lhs, rhs)  # not rounding noise
+                line, row, col, lhs, rhs = line[keep], row[keep], col[keep], lhs[keep], rhs[keep]
+                y = ys[row, col]
+                hits.append((lines[l0 + line, xs[row]], np.full(len(y), axis), y, lhs, rhs))
+    return hits
 
 
 @dataclass(frozen=True)
 class FeketeEstimate:
     """Summary of the ratios f(x)/volume(x) over a set of evaluated boxes.
 
-    The directed-set limit of the ratio equals the infimum over *all*
-    boxes, so every entry of `ratios`, the one at a chosen base box as
-    much as `running_inf` (the least of them), is a certified upper
-    bound for the limit.  For a generic subadditive f no finite
-    evaluation set certifies a lower bound -- the data always extends to
-    one whose limit is 0 -- so the lower end of `bracket` is `tail_slope`,
-    the gain of f per unit of added volume between the two largest nested
-    boxes: an empirical estimate, which can miss the limit, that converges
-    to it whenever the per-box deviation f(x) - L*volume(x) flattens out.
-    Automaton counts are not generic: disjoint blocks certify lower bounds
-    (ROADMAP direction 1), which this engine does not compute.
+    `evaluated_boxes` is a `Boxes` of the distinct boxes, and `ratios`
+    holds their ratios in turn.  The directed-set limit of the ratio
+    equals the infimum over *all* boxes, so every entry of `ratios`, the
+    one at a chosen base box as much as `running_inf` (the least of
+    them), is a certified upper bound for the limit.  For a generic
+    subadditive f no finite evaluation set certifies a lower bound -- the
+    data always extends to one whose limit is 0 -- so the lower end of
+    `bracket` is `tail_slope`, the gain of f per unit of added volume
+    between the two largest nested boxes: an empirical estimate, which
+    can miss the limit, that converges to it whenever the per-box
+    deviation f(x) - L*volume(x) flattens out.  Automaton counts are not
+    generic: disjoint blocks certify lower bounds (ROADMAP direction 1),
+    which this engine does not compute.
     """
 
-    evaluated_boxes: tuple[MultiIndex, ...]
+    evaluated_boxes: Boxes
     ratios: tuple[float, ...]
     running_inf: float
     last_ratio: float
@@ -408,38 +493,43 @@ class FeketeEstimate:
 def running_infimum(f: SubadditiveFn, schedule: Sequence) -> FeketeEstimate:
     """Evaluate f over a schedule of boxes and track the infimum of ratios.
 
-    `last_ratio` is taken at the lexicographically last box, which is the
-    schedule's product-order maximum whenever it has one.  f is evaluated
-    once per distinct box.  The certified bound
-    at a base box is its entry of `ratios`: append the base to the
-    schedule.  Subadditivity is the caller's to check; this records
-    ratios, it does not verify the hypothesis.
+    The schedule is a `Boxes`, or boxes each coerced once.  Its boxes are
+    deduped on the columns, in order of first appearance, and one
+    `f.evaluate_rows` call evaluates f once per distinct box.
+    `last_ratio` is taken at the lexicographically last box, which is
+    the schedule's product-order maximum whenever it has one.  The
+    certified bound at a base box is its entry of `ratios`: append the
+    base to the schedule.  Subadditivity is the caller's to check; this
+    records ratios, it does not verify the hypothesis.
     """
-    boxes = list(dict.fromkeys(as_index(b, f.dim) for b in schedule))
-    if not boxes:
+    coords = _as_boxes(schedule, f.dim).coords
+    if not len(coords):
         raise ValueError("schedule must be nonempty")
-    values = [float(f.fn(b)) for b in boxes]
-    return _infimum(boxes, values, list(map(math.prod, boxes)))
+    coords = coords[_first_rows(coords)]
+    if coords.dtype == object or coords.max() >= 1 << (62 // f.dim):  # a volume may pass int64
+        volumes = coords.astype(object).prod(axis=1)
+    else:
+        volumes = coords.prod(axis=1)
+    return _infimum(coords, f.evaluate_rows(coords), volumes)
 
 
-def _infimum(boxes: list[MultiIndex], values: list[float], volumes: list[int]) -> FeketeEstimate:
-    """`running_infimum` of distinct boxes from the columns of f's values
-    on them and of their volumes.  The tail slope is taken against the box
-    of largest volume (then the lexicographically last) among those below
-    the last box; being distinct from it, that box has a smaller volume."""
-    ratios = list(map(operator.truediv, values, volumes))
-    k = boxes.index(max(boxes))  # the product-order maximum, when there is one
-    last = boxes[k]
-    if len(last) > 1:
-        below = [i for i, b in enumerate(boxes) if i != k and all(map(operator.le, b, last))]
-    else:  # every box, and the next longest is the one
-        below = [volumes.index(max(v for v in volumes if v < last[0]))] if len(boxes) > 1 else []
+def _infimum(coords: np.ndarray, values: np.ndarray, volumes: np.ndarray) -> FeketeEstimate:
+    """`running_infimum` of the distinct boxes that are the rows of coords,
+    from the columns of f's values on them and of their volumes.  The
+    tail slope is taken against the box of largest volume (then the
+    lexicographically last) among those below the last box; being
+    distinct from it, that box has a smaller volume."""
+    ratios = (values / volumes).tolist()
+    k = _lex_last(coords)  # the product-order maximum, when there is one
+    below = (coords <= coords[k]).all(axis=1)
+    below[k] = False
     tail_slope = ratios[k]
-    if below:
-        volume, _, i = max((volumes[i], boxes[i], i) for i in below)
-        tail_slope = (values[k] - values[i]) / (volumes[k] - volume)
+    if below.any():  # of the boxes below, the largest volume, then the last box
+        order = np.lexsort((*coords.T[::-1], volumes))
+        i = order[below[order]][-1]
+        tail_slope = (float(values[k]) - float(values[i])) / (int(volumes[k]) - int(volumes[i]))
     return FeketeEstimate(
-        evaluated_boxes=tuple(boxes),
+        evaluated_boxes=Boxes(coords),
         ratios=tuple(ratios),
         running_inf=min(ratios),
         last_ratio=ratios[k],

@@ -361,3 +361,89 @@ def slice_or_restrict(seen, sides, sub, q):
                         seen |= x[:, g]
             cur[k] = keep
     return seen.ravel()
+
+
+# ------------------------------------------------ the per-key Fekete sweep
+#
+# `check_subadditivity_on_table` and `running_infimum` as the package ran
+# them before boxes came as integer columns: a dict keyed by box, a numpy
+# pass per line of 2+ keys in blocks of at most `pair_block` (x, total)
+# pairs, and one ratio per box.  Boxes are tuples; violations are plain
+# tuples (kind, axis, x, y, lhs, rhs).
+
+
+def per_line_table_check(values, multiplicative=False, pair_block=1 << 12):
+    """Every covered (axis, x, y) of the table {box: value}, as the
+    per-line check found them, in table order of x, then axis, then y."""
+    import operator
+
+    import numpy as np
+
+    table = {}
+    for key, val in values.items():
+        key = (key,) if isinstance(key, int) else tuple(key)
+        table[key] = operator.index(val) if multiplicative else float(val)
+    keys = list(table)
+    if multiplicative:
+        assert min(table.values()) >= 1
+        vals = np.array(list(table.values()), dtype=object)
+    else:
+        vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
+    coords = np.array(keys, dtype=np.int64)
+    violations = [] if multiplicative else [
+        ("negative", -1, keys[i], 0, vals[i].item(), 0.0) for i in np.flatnonzero(vals < 0)
+    ]
+    found = []
+    for axis in range(coords.shape[1]):
+        rest = coords[:, np.arange(coords.shape[1]) != axis]
+        order = np.lexsort((coords[:, axis], *rest.T))
+        rest = rest[order]
+        cuts = [0, *np.flatnonzero((rest[1:] != rest[:-1]).any(axis=1)) + 1, len(order)]
+        for idx in (order[a:b] for a, b in zip(cuts, cuts[1:]) if b - a > 1):
+            pos, val = coords[idx, axis], vals[idx]
+            block = max(1, pair_block // len(pos))
+            for r0 in range(0, len(pos) - 1, block):
+                xs = np.arange(r0, min(r0 + block, len(pos) - 1))
+                ys = pos[r0 + 1:] - pos[xs, None]
+                other = np.minimum(np.searchsorted(pos, ys), len(pos) - 1)
+                row, col = np.nonzero(pos[other] == ys)
+                xi, ti, oi, y = xs[row], col + r0 + 1, other[row, col], ys[row, col]
+                if multiplicative:
+                    lhs, rhs = val[ti], val[xi] * val[oi]
+                    bad = lhs > rhs
+                else:
+                    lhs, rhs = val[ti], val[xi] + val[oi]
+                    bad = lhs > rhs + 1e-9 * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+                if bad.any():
+                    found.append((idx[xi[bad]], np.full(bad.sum(), axis), y[bad], lhs[bad], rhs[bad]))
+    if found:
+        xk, ax, y, lhs, rhs = (np.concatenate(part) for part in zip(*found))
+        order = np.lexsort((y, ax, xk))
+        violations += [
+            ("subadditive", a, keys[i], b, lo, hi)
+            for i, a, b, lo, hi in zip(*(part[order].tolist() for part in (xk, ax, y, lhs, rhs)))
+        ]
+    return violations
+
+
+def per_box_running_infimum(fn, schedule):
+    """(boxes, ratios, running_inf, last_ratio, tail_slope) of fn over the
+    distinct boxes of the schedule, one box object at a time."""
+    import math
+    import operator
+
+    boxes = list(dict.fromkeys(tuple(b) for b in schedule))
+    values = [float(fn(b)) for b in boxes]
+    volumes = list(map(math.prod, boxes))
+    ratios = list(map(operator.truediv, values, volumes))
+    k = boxes.index(max(boxes))
+    last = boxes[k]
+    if len(last) > 1:
+        below = [i for i, b in enumerate(boxes) if i != k and all(map(operator.le, b, last))]
+    else:
+        below = [volumes.index(max(v for v in volumes if v < last[0]))] if len(boxes) > 1 else []
+    tail_slope = ratios[k]
+    if below:
+        volume, _, i = max((volumes[i], boxes[i], i) for i in below)
+        tail_slope = (values[k] - values[i]) / (volumes[k] - volume)
+    return tuple(boxes), tuple(ratios), min(ratios), ratios[k], tail_slope

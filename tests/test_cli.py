@@ -541,10 +541,18 @@ class TestFekete:
             ('{"values": {"1": 1.0, "2x2": 3.0}}', "key 'values': keys mix dimensions (1 and 2)"),
             ('{"values": {"2x2": 3.0, "1": 1.0}}', "key 'values': keys mix dimensions (2 and 1)"),
             ('{"values": {"0": 1.0}}', "bad sides '0': coordinates must be >= 1, got (0,)"),
+            ('{"values": {"1": 3, "-2": 6}}', "bad sides '-2': coordinates must be >= 1, got (-2,)"),
+            ('{"values": {"1": 3, "2.0": 6}}',
+             "bad sides '2.0': invalid literal for int() with base 10: '2.0'"),
+            # the first bad entry in file order is named, a bad key or a bad value
+            ('{"values": {"1": 3, "2x": NaN, "2": true}}',
+             "bad sides '2x': invalid literal for int() with base 10: ''"),
+            ('{"values": {"1": 3, "2": true, "0x1": 1}}', "key 'values': entry '2' is not a number"),
             ('{"values": {}}', "key 'values' must be a nonempty object"),
             ('[1, 2]', "key 'values' must be a nonempty object"),
         ],
-        ids=["mixed-dimensions", "mixed-dimensions-2d-first", "zero-side", "empty", "not-an-object"],
+        ids=["mixed-dimensions", "mixed-dimensions-2d-first", "zero-side", "negative-side",
+             "float-side", "bad-key-first", "bad-value-first", "empty", "not-an-object"],
     )
     def test_bad_table_is_a_usage_error(self, tmp_path, capsys, document, message):
         path = tmp_path / "table.json"
@@ -552,6 +560,40 @@ class TestFekete:
         rc = cli.main(["fekete", "--table", str(path), "--schedule", "1"])
         assert rc == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "values, schedule, rc, out",
+        [
+            # two spellings of 2x1: one entry, where the first stands, with the last's value
+            ('"2 x 1": 1, "1x1": 1, "3x1": 5, "2x1": 1.5', "1x1,3x1", 1,
+             "table (3 entries)\n"
+             "violation: axis 0, x=(2, 1), y=1: lhs 5 > rhs 2.5\n"
+             "violation: axis 0, x=(1, 1), y=2: lhs 5 > rhs 2.5\n"
+             "violations: 2\nestimate suppressed: the subadditivity hypothesis fails\n"),
+            ('"1": 3, "+3": 9, "2": 6', "1,2,3", 0,
+             "table (3 entries)\nviolations: 0\nboxes evaluated: 3\nrunning infimum: 3\n"
+             "last ratio: 3\nlimit bracket: [3.000000, 3.000000]\n"
+             "certified upper bound at base 3: 3\n"),
+            ('"1": 3, "2": 6, "1_0": 30', "1,2,10", 0,
+             "table (3 entries)\nviolations: 0\nboxes evaluated: 3\nrunning infimum: 3\n"
+             "last ratio: 3\nlimit bracket: [3.000000, 3.000000]\n"
+             "certified upper bound at base 10: 3\n"),
+            ('" 1 ": 3, "\\t2": 6', "1,2", 0,
+             "table (2 entries)\nviolations: 0\nboxes evaluated: 2\nrunning infimum: 3\n"
+             "last ratio: 3\nlimit bracket: [3.000000, 3.000000]\n"
+             "certified upper bound at base 2: 3\n"),
+        ],
+        ids=["two-spellings", "plus-sign", "underscore", "blanks"],
+    )
+    def test_table_keys_read_as_sides(self, tmp_path, capsys, values, schedule, rc, out):
+        """Keys parse as `parse_sides` reads sides, as when the table was
+        read one key at a time."""
+        path = tmp_path / "table.json"
+        path.write_text('{"values": {%s}}' % values)
+        assert cli.main(["fekete", "--table", str(path), "--schedule", schedule]) == rc
+        dim = 2 if "x1" in values else 1
+        head = f"function: {path} (dimension {dim})\nsubadditivity check: "
+        assert capsys.readouterr() == (head + out, "")
 
     def test_int_past_the_digit_limit_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "table.json"

@@ -204,6 +204,56 @@ def test_multiplicative_table_check_matches_integer_loop(table):
     assert all((type(v.lhs), type(v.rhs)) == (int, int) for v in got)
 
 
+@st.composite
+def column_table(draw):
+    """(table, multiplicative): a 1-3D table on a sparse or complete grid,
+    in shuffled order, each axis scaled by 1 or 2^40 (so coordinates and
+    volumes pass 2^40 and int64), with floats over an additive base, or
+    exact ints over 3^(sum of the grid indices) for the multiplicative
+    mode, both with planted excesses and deficits."""
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(1, {1: 40, 2: 9, 3: 5}[dim]))
+    scale = draw(st.lists(st.sampled_from([1, 1 << 40]), min_size=dim, max_size=dim))
+    density = draw(st.sampled_from([0.3, 1.0]))
+    multiplicative = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [c for c in itertools.product(range(1, side + 1), repeat=dim) if rng.random() < density]
+    rng.shuffle(cells)  # table order is not coordinate order
+    table = {}
+    for c in cells or [(side,) * dim]:
+        kind = rng.random()
+        if multiplicative:
+            val = 3 ** sum(c)
+            val += rng.randint(1, val) if kind < 0.2 else -rng.randint(0, val - 1) if kind < 0.4 else 0
+        else:
+            val = 0.7 * sum(c)
+            val += rng.uniform(1e-12, 5.0) if kind < 0.2 else -rng.uniform(0, 3.0) if kind < 0.3 else 0
+        table[tuple(i * s for i, s in zip(c, scale))] = val
+    return table, multiplicative
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(column_table())
+def test_columns_match_the_per_key_sweep(case):
+    """The line-batched check on columns and the running infimum on
+    columns equal the per-key check and per-box infimum they replaced
+    (tests/oracles.py), with a mapping or columns, and in many blocks."""
+    table, multiplicative = case
+    want = oracles.per_line_table_check(table, multiplicative)
+    columns = (np.array(list(table), dtype=np.int64), list(table.values()))
+    for block in (5, subadditive._PAIR_BLOCK):
+        with mock.patch.object(subadditive, "_PAIR_BLOCK", block):
+            for values in (table, columns):
+                got = check_subadditivity_on_table(values, multiplicative=multiplicative)
+                assert [(v.kind, v.axis, tuple(v.x), v.y, v.lhs, v.rhs) for v in got] == want
+    schedule = list(table) + list(table)[::2]  # repeats, in table order
+    f = SubadditiveFn(len(schedule[0]), lambda x: table[tuple(x)])
+    want = oracles.per_box_running_infimum(table.__getitem__, schedule)
+    for boxes in (schedule, subadditive.Boxes(np.array(schedule, dtype=np.int64))):
+        est = running_infimum(f, boxes)
+        assert (est.evaluated_boxes, est.ratios, est.running_inf, est.last_ratio, est.tail_slope) == want
+
+
 def test_multiplicative_check_sees_one_above_float_precision():
     table = {1: 3**20, 2: 3**40, 3: 3**60 + 1}
     assert float(3**60 + 1) == float(3**20 * 3**40)
